@@ -408,8 +408,7 @@ class ARFrame:
         dropping each letter once its Coxeter-orbit count is used up.
         For the monotonic orientation this reads (1..n)(1..n-1)... in
         type A and (1..n) repeated in type D.  The result is certified
-        adapted and reduced; if certification ever failed, a smallest-
-        first backtracking search recovers a valid word.
+        adapted and reduced; a word that fails certification is a bug.
         """
         counts = dict(self.n_letters)
         word = []
@@ -422,9 +421,9 @@ class ARFrame:
             if len(word) == before:
                 break
         word = tuple(word)
-        if len(word) == self.N and self._word_certified(word):
-            return word
-        return self._adapted_word_search()
+        if len(word) != self.N or not self._word_certified(word):
+            raise ConsistencyError("adapted word not certified")
+        return word
 
     def _word_certified(self, word) -> bool:
         arrows = set(self.orientation)
@@ -444,42 +443,6 @@ class ARFrame:
             }
             arrows = {(b, a) if letter in (a, b) else (a, b) for a, b in arrows}
         return True
-
-    def _adapted_word_search(self):
-        """Smallest-first backtracking over sources, keeping the word reduced."""
-        datum = self.datum
-
-        def extend(arrows, images, word):
-            if len(word) == self.N:
-                return word
-            targets = {b for _, b in arrows}
-            for v in sorted(datum.vertices()):
-                if v in targets or not is_positive(images[v]):
-                    continue
-                base = images[v]
-                nxt_images = {
-                    j: tuple(
-                        images[j][t] - datum.cartan[v - 1][j - 1] * base[t]
-                        for t in range(datum.rank)
-                    )
-                    for j in datum.vertices()
-                }
-                nxt_arrows = {
-                    (b, a) if v in (a, b) else (a, b) for a, b in arrows
-                }
-                got = extend(nxt_arrows, nxt_images, word + [v])
-                if got is not None:
-                    return got
-            return None
-
-        word = extend(
-            set(self.orientation),
-            {j: datum.alpha(j) for j in datum.vertices()},
-            [],
-        )
-        if word is None:
-            raise InvalidInputError("no adapted reduced word found")
-        return tuple(word)
 
     def _star(self):
         datum = self.datum

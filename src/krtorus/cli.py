@@ -170,6 +170,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "ctilde":
+        if args.mmax < 1:
+            raise InvalidInputError(f"mmax must be at least 1, got {args.mmax}")
         table = QuantumCartanInverse(frame.datum)
         rows = [
             {"i": args.i, "j": args.j, "m": m, "value": table.coeff(args.i, args.j, m)}

@@ -1,9 +1,9 @@
-"""Pure-Python sparse polynomial kernel.
+"""Sparse polynomial kernel.
 
 Polynomials are plain dicts mapping exponent tuples (length = number of
 variables) to nonzero exact coefficients (int or fractions.Fraction).
-The compiled kernel in ``_speedups.pyx`` implements the same three
-functions; either backend can be swapped in freely.
+Callers reach these functions through the module (``kernel.poly_mul``)
+so that a tracer can wrap them in one place.
 """
 
 from fractions import Fraction

@@ -2,7 +2,7 @@
 
 Terms are stored densely by exponent tuple; coefficients are exact
 (int, promoted to Fraction only when needed).  The arithmetic core is
-delegated to the selected kernel backend.
+delegated to the ``kernel`` module.
 """
 
 from __future__ import annotations
@@ -10,9 +10,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .backend import kernel
+from . import kernel
 
-__all__ = ["MultiPoly", "canon_coeff", "integral_primitive", "poly_str"]
+__all__ = [
+    "MultiPoly",
+    "canon_coeff",
+    "integral_primitive",
+    "poly_str",
+    "support_mask",
+]
 
 
 def canon_coeff(c):
@@ -150,18 +156,23 @@ class MultiPoly:
         return max((sum(e) for e in self.terms), default=0)
 
     def support_mask(self) -> int:
-        mask = 0
-        for e in self.terms:
-            for k, d in enumerate(e):
-                if d:
-                    mask |= 1 << k
-        return mask
+        return support_mask(self.terms)
 
     def __repr__(self):
         return f"MultiPoly({poly_str(self.terms)})"
 
     def __str__(self):
         return poly_str(self.terms)
+
+
+def support_mask(terms) -> int:
+    """Bit k is set when variable k+1 occurs in some term."""
+    mask = 0
+    for e in terms:
+        for k, d in enumerate(e):
+            if d:
+                mask |= 1 << k
+    return mask
 
 
 def integral_primitive(terms):

@@ -13,8 +13,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .backend import kernel
-from .poly import MultiPoly, canon_coeff, integral_primitive, poly_str
+from . import kernel
+from .poly import (
+    MultiPoly,
+    canon_coeff,
+    integral_primitive,
+    poly_str,
+    support_mask,
+)
 
 __all__ = ["RootContext", "RootRational", "form_str"]
 
@@ -128,19 +134,15 @@ class RootContext:
                         fac[r] = fac.get(r, 0) + sign * d
                 return {zero_exp: c}
             return terms
+        # Root forms have no constant term, so neither has any multiple.
+        if zero_exp in terms:
+            return terms
+        # A form can divide only if the residual involves all its variables.
+        tmask = support_mask(terms)
         for root in self.roots:
-            if zero_exp in terms:
-                break
             mask = self._mask[root]
             pivot = self._pivot[root]
-            while True:
-                tmask = 0
-                for e in terms:
-                    for i, d in enumerate(e):
-                        if d:
-                            tmask |= 1 << i
-                if mask & ~tmask:
-                    break
+            while not mask & ~tmask:
                 q = kernel.poly_div_linear(terms, root, pivot)
                 if q is None:
                     break
@@ -148,6 +150,7 @@ class RootContext:
                 terms = q
                 if zero_exp in terms or len(terms) == 1:
                     return self._extract(terms, fac, sign)
+                tmask = support_mask(terms)
         return terms
 
     def build(self, unit, fac, num, den) -> "RootRational":
@@ -294,13 +297,26 @@ class RootRational:
         return other * self.inverse()
 
     def __pow__(self, k: int):
+        """Integer power in O(log |k|) products.
+
+        The residuals stay normalized: powers of primitive polynomials
+        are primitive (Gauss's lemma), and by unique factorization they
+        gain no root factor and neither comes to divide the other.
+        """
         if k == 0:
             return self.ctx.one()
         base = self.inverse() if k < 0 else self
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return out
+        m = abs(k)
+        if m == 1 or base.is_zero():
+            return base
+        n = self.ctx.n
+        return RootRational(
+            self.ctx,
+            base.unit**m,
+            {r: e * m for r, e in base.fac.items()},
+            (MultiPoly(n, base.num) ** m).terms,
+            (MultiPoly(n, base.den) ** m).terms,
+        )
 
     def __neg__(self):
         if self.is_zero():

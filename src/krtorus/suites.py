@@ -9,9 +9,7 @@ series; everything else is recomputed on both sides.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -54,13 +52,6 @@ class SuiteResult:
             if witness is not None:
                 self.witnesses.append({"label": label, "witness": str(witness)})
         return cond
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("KRTORUS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # The rank-3 sink-source frame: reciprocal values at the first 15 nodes,
@@ -148,11 +139,6 @@ def suite_properties(frame, tmax=None, **_):
     """The A/B/C sweep over initial cluster variables."""
     calc = TorusMorphism(frame)
     tmax = tmax or 2 * frame.N
-    threads = _thread_count()
-    if threads > 1:
-        # Per-vertex fan-out; the frame and caches are read-shared.
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(calc.initial_value, range(1, tmax + 1)))
     report = check_value_properties(calc, tmax)
     res = SuiteResult("properties")
     res.lines.extend(report.lines())
@@ -369,4 +355,7 @@ def run_suite(name: str, frame, **kwargs) -> SuiteResult:
         raise InvalidInputError(
             f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}"
         )
+    for key in ("tmax", "count"):
+        if kwargs.get(key) is not None and kwargs[key] < 1:
+            raise InvalidInputError(f"{key} must be at least 1, got {kwargs[key]}")
     return SUITES[name](frame, **kwargs)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -121,6 +122,22 @@ def test_word_is_reduced_and_letters_match_counts(d4, e6):
         assert len(set(roots)) == f.N
         for i in f.datum.vertices():
             assert f.base_word.count(i) == f.n_letters[i]
+
+
+def test_sweep_word_certified_for_every_orientation():
+    # The sweep in ARFrame._adapted_word is the only construction of the
+    # adapted word; it must certify on every orientation, not only q0.
+    frames = 0
+    for family, ranks in (("A", range(1, 7)), ("D", range(4, 7)), ("E", (6,))):
+        for rank in ranks:
+            edges = DynkinDatum(family, rank).edges
+            for flips in product((False, True), repeat=len(edges)):
+                arrows = {(b, a) if f else (a, b) for (a, b), f in zip(edges, flips)}
+                frame = build_frame(family, rank, arrows)
+                assert len(frame.base_word) == frame.N
+                assert frame._word_certified(frame.base_word)
+                frames += 1
+    assert frames == 151
 
 
 def test_star_is_an_involution(a3_sink_source, d4, d5, e6):

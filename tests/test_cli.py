@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -55,6 +56,31 @@ def test_dtilde_monomial(capsys):
     assert code == 0 and out.strip() == "a2"
     code, _, err = run(capsys, ["dtilde-monomial", *SS, "Y[2,0)*X"])
     assert code == 2
+
+
+def test_dtilde_monomial_huge_exponent_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, ["dtilde-monomial", "--type", "A", "--rank", "2", "Y[1,0]^99999999999"]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out.strip() == "1/a1^99999999999"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["ctilde", *SS, "1", "1", "0"], "mmax"),
+        (["verify", *SS, "--suite", "flagminors", "--count", "0"], "count"),
+        (["verify", *SS, "--suite", "properties", "--tmax", "-1"], "tmax"),
+    ],
+    ids=["mmax", "count", "tmax"],
+)
+def test_counts_below_one_exit_two(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} must be at least 1")
+    assert len(err.splitlines()) == 1
 
 
 def test_dtilde_kr_json_round_trip(capsys, a3_sink_source):

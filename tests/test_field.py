@@ -7,11 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krtorus.cartan import build_frame
-from krtorus.field import MultiPoly, available_backends
+from krtorus.field import MultiPoly, kernel
 from krtorus.field.poly import integral_primitive
-
-
-BACKENDS = available_backends()
 
 
 @pytest.fixture(scope="module")
@@ -28,35 +25,44 @@ def poly_dicts(n=3, max_terms=4, max_exp=3, max_coeff=5, min_size=0):
 # -- kernels -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(BACKENDS))
-def test_kernel_mul_hand_value(name):
-    k = BACKENDS[name]
+def test_kernel_mul_hand_value():
     a = {(1, 0): 1, (0, 1): 1}  # x + y
     b = {(1, 0): 1, (0, 1): -1}  # x - y
-    assert k.poly_mul(a, b) == {(2, 0): 1, (0, 2): -1}
+    assert kernel.poly_mul(a, b) == {(2, 0): 1, (0, 2): -1}
 
 
-@pytest.mark.parametrize("name", sorted(BACKENDS))
-def test_kernel_div_linear_exact_and_failing(name):
-    k = BACKENDS[name]
+def test_kernel_div_linear_exact_and_failing():
     form = (1, 1, 0)  # x + y
-    p = k.poly_mul({(1, 0, 0): 1, (0, 1, 0): 1}, {(0, 0, 2): 3, (1, 1, 1): -2})
-    q = k.poly_div_linear(p, form, 1)
+    p = kernel.poly_mul({(1, 0, 0): 1, (0, 1, 0): 1}, {(0, 0, 2): 3, (1, 1, 1): -2})
+    q = kernel.poly_div_linear(p, form, 1)
     assert q == {(0, 0, 2): 3, (1, 1, 1): -2}
-    assert k.poly_div_linear({(1, 0, 0): 1}, form, 1) is None
+    assert kernel.poly_div_linear({(1, 0, 0): 1}, form, 1) is None
 
 
-@given(a=poly_dicts(), b=poly_dicts())
+def evaluate_terms(terms, point):
+    total = Fraction(0)
+    for e, c in terms.items():
+        v = Fraction(c)
+        for x, k in zip(point, e):
+            v *= x**k
+        total += v
+    return total
+
+
+POINTS = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=3, max_size=3
+)
+
+
+@given(a=poly_dicts(), b=poly_dicts(), point=POINTS)
 @settings(max_examples=60, deadline=None)
-def test_kernels_agree(a, b):
-    results_mul = {n: k.poly_mul(a, b) for n, k in BACKENDS.items()}
-    results_add = {n: k.poly_add(a, b) for n, k in BACKENDS.items()}
-    assert len({json_key(r) for r in results_mul.values()}) == 1
-    assert len({json_key(r) for r in results_add.values()}) == 1
-
-
-def json_key(d):
-    return tuple(sorted(d.items()))
+def test_kernel_mul_add_commute_with_evaluation(a, b, point):
+    # Independent oracle: exact evaluation, term by term, at a rational point.
+    va, vb = evaluate_terms(a, point), evaluate_terms(b, point)
+    assert evaluate_terms(kernel.poly_mul(a, b), point) == va * vb
+    assert evaluate_terms(kernel.poly_add(a, b), point) == va + vb
+    assert all(kernel.poly_add(a, b).values())
+    assert all(kernel.poly_mul(a, b).values())
 
 
 FORMS3 = st.sampled_from([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 1), (1, 1, 1)])
@@ -65,28 +71,26 @@ FORMS3 = st.sampled_from([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 1), (1, 1, 1)]
 @given(p=poly_dicts(), form=FORMS3)
 @settings(max_examples=60, deadline=None)
 def test_kernel_div_linear_inverts_mul(p, form):
-    for k in BACKENDS.values():
-        pivot = max(i for i, c in enumerate(form) if c)
-        product = k.poly_mul(p, {e: c for e, c in zip(
-            [tuple(1 if j == i else 0 for j in range(3)) for i in range(3)], form
-        ) if c})
-        got = k.poly_div_linear(product, form, pivot)
-        if p:
-            assert got == p
-        else:
-            assert got == {}
+    pivot = max(i for i, c in enumerate(form) if c)
+    product = kernel.poly_mul(p, {e: c for e, c in zip(
+        [tuple(1 if j == i else 0 for j in range(3)) for i in range(3)], form
+    ) if c})
+    got = kernel.poly_div_linear(product, form, pivot)
+    if p:
+        assert got == p
+    else:
+        assert got == {}
 
 
 @given(p=poly_dicts(), g=poly_dicts(min_size=1))
 @settings(max_examples=60, deadline=None)
 def test_kernel_div_exact_inverts_mul(p, g):
-    for k in BACKENDS.values():
-        product = k.poly_mul(p, g)
-        got = k.poly_div_exact(product, g)
-        if p:
-            assert got == p
-        else:
-            assert got == {}
+    product = kernel.poly_mul(p, g)
+    got = kernel.poly_div_exact(product, g)
+    if p:
+        assert got == p
+    else:
+        assert got == {}
 
 
 @given(a=poly_dicts(), b=poly_dicts(), c=poly_dicts())
@@ -222,6 +226,26 @@ def test_normalization_idempotent(ctx):
     assert rebuilt.unit == v.unit
     assert rebuilt.fac == v.fac
     assert rebuilt.num == v.num and rebuilt.den == v.den
+
+
+def test_pow_matches_repeated_multiplication(ctx):
+    lump = ctx.from_fraction(
+        MultiPoly.linear_form((1, 2, 1)), MultiPoly.linear_form((2, 1, 0))
+    )
+    factored = ctx.from_root_factors(
+        [((0, 1, 0), -1), ((1, 1, 0), 2)], unit=Fraction(-2, 3)
+    )
+    values = [lump * factored, lump + factored]
+    for x in values:
+        assert not x.is_factored()
+        for k in range(-4, 5):
+            want = ctx.one()
+            for _ in range(abs(k)):
+                want = want * (x if k > 0 else x.inverse())
+            got = x**k
+            assert (got.unit, got.fac, got.num, got.den) == (
+                want.unit, want.fac, want.num, want.den
+            )
 
 
 def test_zero_and_pole_handling(ctx):

@@ -29,8 +29,7 @@ def test_figure2_requires_the_sink_source_frame(a2):
         run_suite("figure2", a2)
 
 
-def test_properties_suite_with_thread_fanout(monkeypatch, a3_sink_source):
-    monkeypatch.setenv("KRTORUS_THREADS", "3")
+def test_properties_suite_honours_tmax(a3_sink_source):
     result = run_suite("properties", a3_sink_source, tmax=12)
     assert result.ok
     assert any("checked 12" in line for line in result.lines)
