@@ -426,21 +426,14 @@ class ARFrame:
         return word
 
     def _word_certified(self, word) -> bool:
+        try:
+            inversion_roots(self.datum, word)
+        except InvalidInputError:
+            return False  # not reduced
         arrows = set(self.orientation)
-        images = {j: self.datum.alpha(j) for j in self.datum.vertices()}
         for letter in word:
             if any(b == letter for _, b in arrows):
                 return False  # not a source at its turn
-            if not is_positive(images[letter]):
-                return False  # word stopped being reduced
-            base = images[letter]
-            images = {
-                j: tuple(
-                    images[j][t] - self.datum.cartan[letter - 1][j - 1] * base[t]
-                    for t in range(self.datum.rank)
-                )
-                for j in self.datum.vertices()
-            }
             arrows = {(b, a) if letter in (a, b) else (a, b) for a, b in arrows}
         return True
 

@@ -3,9 +3,11 @@
 A value is  unit * prod(root form ^ exp) * num / den  where the root
 forms are positive-root linear forms of a fixed root system, and num,
 den are primitive integer polynomials carrying whatever does not factor
-into root forms.  Normalization divides out every positive-root form by
-trial division (the forms are irreducible, so the extracted multiset is
-unique); no general multivariate gcd is ever needed.
+into root forms.  A linear form is classified once, on input: it is a
+positive root up to a scalar or it is not.  Other input is normalized by
+trial division by every positive-root form (the forms are irreducible, so
+the extracted multiset is unique); no general multivariate gcd is ever
+needed, and equality is decided by subtraction.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from ..errors import InvalidInputError
 from . import kernel
 from .poly import (
     MultiPoly,
@@ -36,12 +39,14 @@ def form_str(coords) -> str:
     return "+".join(parts) if parts else "0"
 
 
-def _form_terms(coords):
-    n = len(coords)
-    out = {}
-    for k, c in enumerate(coords):
-        if c:
-            out[tuple(1 if j == k else 0 for j in range(n))] = c
+def _expand(forms, n):
+    """Expanded product of ``coords ^ e`` over the (coords, e) pairs with e > 0."""
+    out = {(0,) * n: 1}
+    for coords, e in forms:
+        if e > 0:
+            terms = {tuple(int(j == k) for j in range(n)): c for k, c in enumerate(coords) if c}
+            for _ in range(e):
+                out = kernel.poly_mul(out, terms)
     return out
 
 
@@ -80,28 +85,38 @@ class RootContext:
     def from_root_factors(self, factors, unit=1) -> "RootRational":
         """Value  unit * prod(form ^ exp)  for (coords, exp) pairs.
 
-        Coordinate vectors that are not positive roots (e.g. doubled
-        forms) are expanded into the polynomial residuals instead.
+        Each form is made primitive with a positive leading coordinate; a
+        positive root stays factored, any other form goes to the residuals.
+        That is normal form: the residuals are primitive (Gauss), lead with
+        a positive coefficient and hold no root factor (unique factorization).
         """
+        unit = Fraction(unit)
         fac = {}
-        num = dict(self._one)
-        den = dict(self._one)
+        rest = {}
         for coords, exp in factors:
             coords = tuple(coords)
+            if len(coords) != self.n or not all(isinstance(c, int) for c in (*coords, exp)):
+                raise InvalidInputError(
+                    f"factor {coords}^{exp}: need {self.n} integer coordinates, integer exponent"
+                )
             if exp == 0:
                 continue
-            if coords in self.root_set:
-                fac[coords] = fac.get(coords, 0) + exp
-            else:
-                ft = _form_terms(coords)
-                if not ft:
+            if coords not in self.root_set:
+                g = gcd(*coords)
+                if not g:
                     raise ValueError("zero linear form in factor list")
-                for _ in range(abs(exp)):
-                    if exp > 0:
-                        num = kernel.poly_mul(num, ft)
-                    else:
-                        den = kernel.poly_mul(den, ft)
-        return self.build(unit, fac, num, den)
+                if next(c for c in coords if c) < 0:
+                    g = -g
+                unit *= Fraction(g) ** exp
+                coords = tuple(c // g for c in coords)
+            side = fac if coords in self.root_set else rest
+            side[coords] = side.get(coords, 0) + exp
+        if unit == 0:
+            return self.zero()
+        fac = {r: e for r, e in fac.items() if e}
+        num = _expand(rest.items(), self.n)
+        den = _expand(((f, -e) for f, e in rest.items()), self.n)
+        return RootRational(self, unit, fac, num, den)
 
     def from_fraction(self, num, den=None) -> "RootRational":
         nt = num.terms if isinstance(num, MultiPoly) else dict(num)
@@ -111,6 +126,8 @@ class RootContext:
             dt = den.terms if isinstance(den, MultiPoly) else dict(den)
         if not dt:
             raise ZeroDivisionError("zero denominator polynomial")
+        if any(len(e) != self.n for e in (*nt, *dt)):
+            raise InvalidInputError(f"exponent tuples need {self.n} entries")
         return self.build(1, {}, nt, dt)
 
     # -- normalization --------------------------------------------------
@@ -323,17 +340,6 @@ class RootRational:
             return self
         return RootRational(self.ctx, -self.unit, dict(self.fac), dict(self.num), dict(self.den))
 
-    def _expand_factors(self, positive: bool):
-        """Expanded polynomial of the factored part (exp>0 or exp<0 side)."""
-        out = dict(self.ctx._one)
-        for r, e in self.fac.items():
-            reps = e if positive else -e
-            if reps > 0:
-                ft = _form_terms(r)
-                for _ in range(reps):
-                    out = kernel.poly_mul(out, ft)
-        return out
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -342,21 +348,17 @@ class RootRational:
             return other
         if other.is_zero():
             return self
+        roots = set(self.fac) | set(other.fac)
         shared = {}
-        for r in set(self.fac) | set(other.fac):
+        for r in roots:
             g = min(self.fac.get(r, 0), other.fac.get(r, 0))
             if g:
                 shared[r] = g
-        # Cofactor exponents are >= 0 by construction, so they expand.
-        cof_a = dict(self.ctx._one)
-        cof_b = dict(self.ctx._one)
-        for r in set(self.fac) | set(other.fac):
-            g = shared.get(r, 0)
-            ft = _form_terms(r)
-            for _ in range(self.fac.get(r, 0) - g):
-                cof_a = kernel.poly_mul(cof_a, ft)
-            for _ in range(other.fac.get(r, 0) - g):
-                cof_b = kernel.poly_mul(cof_b, ft)
+        # Cofactor exponents are >= 0 by construction, so they expand; a root
+        # only in other.fac may still give self a cofactor, hence the union.
+        n = self.ctx.n
+        cof_a = _expand(((r, self.fac.get(r, 0) - shared.get(r, 0)) for r in roots), n)
+        cof_b = _expand(((r, other.fac.get(r, 0) - shared.get(r, 0)) for r in roots), n)
         q = (self.unit.denominator * other.unit.denominator) // gcd(
             self.unit.denominator, other.unit.denominator
         )
@@ -379,18 +381,7 @@ class RootRational:
     def __rsub__(self, other):
         return (-self) + other
 
-    # -- equality: cross-multiplication of fully expanded sides ----------
-
-    def _cross_parts(self):
-        npoly = kernel.poly_mul(
-            {(0,) * self.ctx.n: self.unit.numerator},
-            kernel.poly_mul(self._expand_factors(True), self.num),
-        )
-        dpoly = kernel.poly_mul(
-            {(0,) * self.ctx.n: self.unit.denominator},
-            kernel.poly_mul(self._expand_factors(False), self.den),
-        )
-        return npoly, dpoly
+    # -- equality: the difference is zero -------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -408,9 +399,7 @@ class RootRational:
             return True
         if self.is_zero() or other.is_zero():
             return self.is_zero() and other.is_zero()
-        na, da = self._cross_parts()
-        nb, db = other._cross_parts()
-        return kernel.poly_mul(na, db) == kernel.poly_mul(nb, da)
+        return (self - other).is_zero()
 
     __hash__ = None
 
@@ -458,13 +447,16 @@ class RootRational:
 
     @classmethod
     def from_json_dict(cls, ctx, data):
-        base = ctx.from_root_factors(
-            ((tuple(f["root"]), f["exp"]) for f in data.get("root_factors", [])),
-            unit=Fraction(data["unit"]),
-        )
-        num = {tuple(t["exp"]): Fraction(t["coeff"]) for t in data["num_terms"]}
-        den = {tuple(t["exp"]): Fraction(t["coeff"]) for t in data["den_terms"]}
-        return base * ctx.from_fraction(num, den)
+        try:
+            base = ctx.from_root_factors(
+                ((tuple(f["root"]), f["exp"]) for f in data.get("root_factors", [])),
+                unit=Fraction(data["unit"]),
+            )
+            num = {tuple(t["exp"]): Fraction(t["coeff"]) for t in data["num_terms"]}
+            den = {tuple(t["exp"]): Fraction(t["coeff"]) for t in data["den_terms"]}
+            return base * ctx.from_fraction(num, den)
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidInputError(f"malformed value JSON: {exc!r}") from exc
 
     # -- rendering ----------------------------------------------------------
 

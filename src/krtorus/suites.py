@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from math import factorial
 
-from .cartan import braid_shuffle, q0_orientation
+from .cartan import braid_shuffle, finite_t_plus, q0_orientation
 from .cluster import initial_seed, mutate
 from .cuspidal import (
     CuspidalRecursion,
@@ -23,7 +23,6 @@ from .cuspidal import (
     standard_seed_minors,
 )
 from .errors import InvalidInputError
-from .field.poly import MultiPoly
 from .qcartan import QuantumCartanInverse
 from .segments import segment_d, sigma_d, theta_d
 from .torusmap import (
@@ -128,9 +127,7 @@ def suite_mutations(frame, **_):
     res = SuiteResult("mutations")
     for v, (num, dens) in SINK_SOURCE_A3_MUTATIONS.items():
         got = mutate(seed, v).values[v]
-        want = calc.ctx.from_fraction(
-            MultiPoly.linear_form(num)
-        ) / calc.ctx.from_root_factors((r, 1) for r in dens)
+        want = calc.ctx.from_root_factors([(num, 1)] + [(r, -1) for r in dens])
         res.check(got == want, f"mutation at {v}", witness=got)
     return res
 
@@ -264,10 +261,7 @@ def suite_flagminors(frame, count=10, seed=2024, **_):
         t = standard_seed_minors(frame, word)
         drop_ok = True
         for j in range(1, frame.N + 1):
-            nxt = next(
-                (l for l in range(j + 1, frame.N + 1) if word[l - 1] == word[j - 1]),
-                None,
-            )
+            nxt = finite_t_plus(word, j)
             if nxt is None:
                 continue
             pj = t.products[j - 1].root_factors
@@ -322,14 +316,13 @@ def suite_minpairs(frame, **_):
                     segment_d(n, q, sigma_d(n, n, p)),
                 )
                 res.check(got == want, f"pair of theta[{p},{q}]", witness=got)
+    rec = CuspidalRecursion(frame)
     if fam in ("A", "D"):
-        rec = CuspidalRecursion(frame)
         for beta in frame.positive_roots:
             got = rec.value(beta)
             ok = got is not None and got == cuspidal_value(frame, beta)
             res.check(ok, f"recursion value at {beta}", witness=got)
     else:
-        rec = CuspidalRecursion(frame)
         good, bad = rec.coverage()
         res.lines.append(
             f"recursion coverage: {len(good)}/{len(good) + len(bad)} roots applicable"

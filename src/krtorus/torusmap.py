@@ -120,30 +120,40 @@ class TorusMorphism:
         return self._kr(i, p, k)
 
     def _kr(self, i: int, p: int, k: int) -> RootRational:
-        if k == 0:
-            return self.ctx.one()
-        key = (i, p, k)
-        cached = self._kr_cache.get(key)
-        if cached is not None:
-            return cached
-        top = p + 2 * k - 2
-        if top == self.frame.xi[i]:
-            out = self.ctx.one()
-            for j in range(k):
-                out = out * self.y_value(i, p + 2 * j)
-        else:
-            # T-system at (i, p+2, k), solved for the lowest-top factor.
-            grow = self._kr(i, p, k + 1)
-            shrink = self._kr(i, p + 2, k - 1)
-            nbrs = self.ctx.one()
-            for j in self.frame.datum.adjacency[i]:
-                nbrs = nbrs * self._kr(j, p + 1, k)
-            divisor = self._kr(i, p + 2, k)
-            if divisor.is_zero():
-                raise ConsistencyError(f"zero divisor in T-system at {key}")
-            out = (grow * shrink + nbrs) / divisor
-        self._kr_cache[key] = out
-        return out
+        """Solve with an explicit stack: a label is solved once the labels
+        on its right-hand side are memoized, so depth costs no recursion."""
+        one = self.ctx.one()
+        memo = self._kr_cache
+        target = (i, p, k)
+        stack = [target]
+        while stack:
+            key = stack[-1]
+            i, p, k = key
+            if k == 0 or key in memo:
+                stack.pop()
+                continue
+            if p + 2 * k - 2 == self.frame.xi[i]:
+                out = one
+                for j in range(k):
+                    out = out * self.y_value(i, p + 2 * j)
+            else:
+                # T-system at (i, p+2, k), solved for the lowest-top factor.
+                nbr_keys = [(j, p + 1, k) for j in self.frame.datum.adjacency[i]]
+                deps = [(i, p, k + 1), (i, p + 2, k - 1), (i, p + 2, k), *nbr_keys]
+                missing = [d for d in deps if d[2] and d not in memo]
+                if missing:
+                    stack.extend(missing)
+                    continue
+                grow, shrink, divisor = (memo.get(d, one) for d in deps[:3])
+                nbrs = one
+                for d in nbr_keys:
+                    nbrs = nbrs * memo[d]
+                if divisor.is_zero():
+                    raise ConsistencyError(f"zero divisor in T-system at {key}")
+                out = (grow * shrink + nbrs) / divisor
+            memo[key] = out
+            stack.pop()
+        return memo.get(target, one)
 
 
 # -- closed-form values over the monotonic orientation ------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krtorus.cartan import build_frame
+from krtorus.errors import InvalidInputError
 from krtorus.field import MultiPoly, kernel
 from krtorus.field.poly import integral_primitive
 
@@ -136,6 +137,50 @@ def test_cancellation(ctx):
     assert prod.is_factored() and prod.unit == 1
 
 
+ROOTS3 = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)]
+NON_ROOTS3 = [(1, 2, 1), (2, 1, 0), (0, 1, 2), (1, 0, 1), (1, -1, 0), (0, 1, -1)]
+
+
+def scaled_forms(bases):
+    """(coords, exp) pairs: a base form times 1, 2, -1 or -3."""
+    return st.tuples(
+        st.sampled_from(bases), st.sampled_from([1, 2, -1, -3]), st.integers(-2, 2)
+    ).map(lambda t: (tuple(t[1] * c for c in t[0]), t[2]))
+
+
+def expand_side(pairs, sign):
+    out = MultiPoly.one(3)
+    for coords, e in pairs:
+        if e * sign > 0:
+            out = out * MultiPoly.linear_form(coords) ** abs(e)
+    return out.terms
+
+
+@given(
+    roots=st.lists(scaled_forms(ROOTS3), max_size=5),
+    others=st.lists(scaled_forms(NON_ROOTS3), max_size=3),
+    one_sided=st.booleans(),
+    unit=st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_from_root_factors_matches_build(ctx, roots, others, one_sided, unit, data):
+    # Reference route: expand every form and let build trial-divide.
+    if one_sided:
+        sign = data.draw(st.sampled_from([1, -1]))
+        others = [(f, sign * abs(e)) for f, e in others]
+    pairs = data.draw(st.permutations(roots + others))
+    got = ctx.from_root_factors(pairs, unit=unit)
+    want = ctx.build(unit, {}, expand_side(pairs, 1), expand_side(pairs, -1))
+    if one_sided:
+        assert (got.unit, got.fac, got.num, got.den) == (
+            want.unit, want.fac, want.num, want.den
+        )
+    assert got == want
+    point = [Fraction(2), Fraction(7), Fraction(19)]  # no form vanishes here
+    assert got.evaluate(point) == want.evaluate(point)
+
+
 def test_multiplicity_examples(ctx):
     a2, a12, a23 = (0, 1, 0), (1, 1, 0), (0, 1, 1)
     v = ctx.from_root_factors([(a2, -1), (a12, -1)])
@@ -205,16 +250,36 @@ def test_equality_matches_evaluation(ctx):
         # avoid hyperplanes: large distinct primes ratios
         return [Fraction(rng.randint(50, 500), rng.randint(1, 7)) for _ in range(3)]
 
-    agree = 0
-    for _ in range(500):
-        a, b = rand_value(), rand_value()
+    def check(a, b):
         eq = a == b
         same_everywhere = all(
             a.evaluate(pt) == b.evaluate(pt) for pt in (rand_point() for _ in range(3))
         )
         assert eq == same_everywhere
-        agree += eq
+        return eq
+
+    agree = 0
+    for _ in range(500):
+        agree += check(rand_value(), rand_value())
     assert agree > 0  # sanity: collisions do occur given the small pool
+
+    # Residual-carrying values against values built another way: equal
+    # ones need not share a representation (residuals with a common
+    # factor stay uncancelled), so subtraction decides.
+    lumps = [MultiPoly.linear_form(f) for f in ((1, 2, 1), (2, 1, 0), (0, 1, 2))]
+    unlike = 0
+    for _ in range(60):
+        p, q, r = rng.sample(lumps, 3)
+        x = rand_value()
+        a = x * ctx.from_fraction(p, q)
+        for b, want in (
+            (x * ctx.from_fraction(p * r, q * r), True),
+            (x * ctx.from_fraction(p * r, q * q), False),
+        ):
+            assert not (a.is_factored() or b.is_factored())
+            assert check(a, b) == want
+            unlike += want and (a.num, a.den) != (b.num, b.den)
+    assert unlike > 0
 
 
 def test_normalization_idempotent(ctx):
@@ -269,6 +334,52 @@ def test_json_round_trip(ctx):
     back = v.__class__.from_json_dict(ctx, data)
     assert back == v
     assert back.to_json_dict() == v.to_json_dict()
+
+
+GOOD_JSON = {
+    "unit": "3/7",
+    "root_factors": [{"root": [1, 0, 0], "exp": -1}],
+    "num_terms": [{"coeff": "1", "exp": [1, 2, 1]}],
+    "den_terms": [{"coeff": "1", "exp": [0, 0, 0]}],
+}
+
+
+def without(key):
+    return {k: v for k, v in GOOD_JSON.items() if k != key}
+
+
+MALFORMED = {
+    "short-root": lambda ctx: ctx.from_root_factors([((1, 1), 1)]),
+    "long-root": lambda ctx: ctx.from_root_factors([((1, 1, 0, 0), -1)]),
+    "short-num-exponent": lambda ctx: ctx.from_fraction({(1, 0): 1}),
+    "long-den-exponent": lambda ctx: ctx.from_fraction({(1, 0, 0): 1}, {(0, 0, 0, 1): 2}),
+    "json-not-a-dict": [GOOD_JSON],
+    "json-text": "1/a1",
+    "json-no-unit": without("unit"),
+    "json-no-num-terms": without("num_terms"),
+    "json-no-den-terms": without("den_terms"),
+    "json-bad-fraction": {**GOOD_JSON, "unit": "1/x"},
+    "json-zero-unit-denominator": {**GOOD_JSON, "unit": "1/0"},
+    "json-empty-den-terms": {**GOOD_JSON, "den_terms": []},
+    "json-factor-without-exp": {**GOOD_JSON, "root_factors": [{"root": [1, 0, 0]}]},
+    "json-short-root": {**GOOD_JSON, "root_factors": [{"root": [1, 1], "exp": 1}]},
+    "json-fractional-exp": {**GOOD_JSON, "root_factors": [{"root": [1, 0, 0], "exp": 1.5}]},
+    "json-float-root": {**GOOD_JSON, "root_factors": [{"root": [1.0, 0, 0], "exp": 1}]},
+    "json-short-exponent": {**GOOD_JSON, "num_terms": [{"coeff": "1", "exp": [1, 0]}]},
+    "json-coeff-not-text": {**GOOD_JSON, "num_terms": [{"coeff": None, "exp": [1, 0, 0]}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_values_raise_invalid_input(ctx, case):
+    value_cls = type(ctx.one())
+    assert value_cls.from_json_dict(ctx, GOOD_JSON).evaluate([1, 1, 1]) == Fraction(3, 7)
+    bad = MALFORMED[case]
+    with pytest.raises(InvalidInputError):
+        if callable(bad):
+            bad(ctx)
+        else:
+            value_cls.from_json_dict(ctx, bad)
 
 
 def test_str_rendering(ctx):

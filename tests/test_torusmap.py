@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 
 from krtorus.cartan import build_frame
@@ -176,6 +179,21 @@ def test_t_system_plug_back(ss, d4):
                     for j in f.datum.adjacency[i]:
                         prod = prod * calc.kr_value(j, p + 1, k)
                     assert lhs == rhs + prod, (i, p, k)
+
+
+def test_deep_kr_label_needs_no_recursion():
+    # Labels far below the window used to recurse once per dependency; the
+    # solve must fit in a stack only a little deeper than the caller's.
+    frame = build_frame("A", 1)
+    calc = TorusMorphism(frame)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        value = calc.kr_value(1, -200, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == frame.root_context.from_root_factors([((1,), -1)], unit=2)
+    assert str(value) == "2/a1"
 
 
 # -- closed forms ------------------------------------------------------------------
