@@ -222,6 +222,10 @@ def inversion_roots(datum: DynkinDatum, word):
     images = {j: datum.alpha(j) for j in datum.vertices()}
     out = []
     for k, letter in enumerate(word):
+        if letter not in images:
+            raise InvalidInputError(
+                f"word letter {letter!r} at position {k + 1} is not a vertex 1..{datum.rank}"
+            )
         beta = images[letter]
         if not is_positive(beta):
             raise InvalidInputError(

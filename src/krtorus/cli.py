@@ -240,11 +240,14 @@ def _run(args) -> int:
         return 0
 
     if args.command == "dbar-weights":
-        if args.file == "-":
-            raw = sys.stdin.read()
-        else:
-            with open(args.file) as fh:
-                raw = fh.read()
+        try:
+            if args.file == "-":
+                raw = sys.stdin.read()
+            else:
+                with open(args.file) as fh:
+                    raw = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidInputError(f"cannot read weight data: {exc}") from exc
         try:
             entries = [(tuple(e["word"]), int(e["dim"])) for e in json.loads(raw)]
         except (ValueError, KeyError, TypeError) as exc:

@@ -5,15 +5,20 @@ forms are positive-root linear forms of a fixed root system, and num,
 den are primitive integer polynomials carrying whatever does not factor
 into root forms.  A linear form is classified once, on input: it is a
 positive root up to a scalar or it is not.  Other input is normalized by
-trial division by every positive-root form (the forms are irreducible, so
-the extracted multiset is unique); no general multivariate gcd is ever
-needed, and equality is decided by subtraction.
+dividing out positive-root forms (the forms are irreducible, so the
+extracted multiset is unique).  Which forms to try comes from one integer
+evaluation of the residual modulo a prime on each form's hyperplane: a
+nonzero value proves that the form does not divide, while a zero is only
+a hint, which the exact division ``kernel.poly_div_linear`` certifies.
+No general multivariate gcd is ever needed, and equality is decided by
+subtraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from random import Random
 
 from ..errors import InvalidInputError
 from . import kernel
@@ -26,6 +31,11 @@ from .poly import (
 )
 
 __all__ = ["RootContext", "RootRational", "form_str"]
+
+# The divisibility screen works in F_p, p = 2^61 - 1, at a point drawn
+# from a fixed seed so that every run makes the same divisions.
+_P = (1 << 61) - 1
+_SEED = 2021
 
 
 def form_str(coords) -> str:
@@ -50,6 +60,26 @@ def _expand(forms, n):
     return out
 
 
+def _vanishing_order(coeffs, s):
+    """Order of vanishing at ``s`` of sum(coeffs[d] * t^d) over F_p.
+
+    A polynomial that is zero mod p gets its degree bound len(coeffs) - 1.
+    """
+    a = coeffs[::-1]
+    order = 0
+    while len(a) > 1:
+        acc = 0
+        out = []
+        for c in a:
+            acc = (acc * s + c) % _P
+            out.append(acc)
+        if acc:
+            break
+        a = out[:-1]
+        order += 1
+    return order
+
+
 class RootContext:
     """Variable count plus the positive-root forms used for factoring."""
 
@@ -67,6 +97,16 @@ class RootContext:
         self._mask = {
             r: sum(1 << i for i, c in enumerate(r) if c) for r in self.roots
         }
+        # Screening point x, and for each root r with pivot j the value
+        # s = t / x_j, where a_j = t puts x on the hyperplane r = 0.  Scaling
+        # by x_j lets _screen group full monomial values by exponent.
+        rng = Random(_SEED)
+        self._point = tuple(rng.randrange(1, _P) for _ in range(self.n))
+        self._meet = {}
+        for r in self.roots:
+            j = self._pivot[r]
+            rest = sum(c * x for c, x in zip(r, self._point)) - r[j] * self._point[j]
+            self._meet[r] = -rest * pow(r[j] * self._point[j], -1, _P) % _P
 
     # -- value builders -------------------------------------------------
 
@@ -132,11 +172,55 @@ class RootContext:
 
     # -- normalization --------------------------------------------------
 
+    def _screen(self, terms, tmask):
+        """(root, bound) for each positive root whose form may divide ``terms``.
+
+        One pass over the terms evaluates each monomial at the screening
+        point mod p and groups the values by the exponent of each pivot
+        variable a_j: that is the slice of the residual along a_j, as a
+        polynomial in t = a_j / x_j.  A root r with pivot j can divide only
+        if that slice vanishes at s_r, where the line meets r = 0, and its
+        multiplicity is at most the order of vanishing there.  A nonzero
+        value proves that the form does not divide; a zero is only a hint.
+        """
+        roots = [r for r in self.roots if not self._mask[r] & ~tmask]
+        if not roots:
+            return []
+        pivots = {self._pivot[r] for r in roots}
+        slices = {j: {} for j in pivots}
+        point = self._point
+        for e, c in terms.items():
+            w = c
+            for x, d in zip(point, e):
+                if d:
+                    w = w * pow(x, d, _P) % _P
+            for j in pivots:
+                sl = slices[j]
+                d = e[j]
+                sl[d] = sl.get(d, 0) + w
+        coeffs = {}
+        for j, sl in slices.items():
+            cs = [0] * (max(sl) + 1)
+            for d, v in sl.items():
+                cs[d] = v % _P
+            coeffs[j] = cs
+        out = []
+        for r in roots:
+            bound = _vanishing_order(coeffs[self._pivot[r]], self._meet[r])
+            if bound:
+                out.append((r, bound))
+        return out
+
     def _extract(self, terms, fac, sign):
         """Divide out every root form from integer term dict ``terms``.
 
         Updates ``fac`` with ``sign`` * multiplicity per extracted form and
-        returns the residual.
+        returns the residual.  Only the forms that ``_screen`` keeps are
+        tried, each at most its bound times: a nonzero value mod p proves
+        that a form does not divide, and a zero is only a hint, which
+        ``kernel.poly_div_linear`` certifies or refutes.  The bounds stay
+        valid as factors come out, since the quotient's order of vanishing
+        is at most the residual's.
         """
         if not terms:
             return terms
@@ -156,13 +240,14 @@ class RootContext:
             return terms
         # A form can divide only if the residual involves all its variables.
         tmask = support_mask(terms)
-        for root in self.roots:
+        for root, bound in self._screen(terms, tmask):
             mask = self._mask[root]
             pivot = self._pivot[root]
-            while not mask & ~tmask:
+            while bound and not mask & ~tmask:
                 q = kernel.poly_div_linear(terms, root, pivot)
                 if q is None:
                     break
+                bound -= 1
                 fac[root] = fac.get(root, 0) + sign
                 terms = q
                 if zero_exp in terms or len(terms) == 1:

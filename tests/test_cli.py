@@ -120,6 +120,16 @@ def test_dbar_flag(capsys):
     assert lines[2] == "P_3 = a2*(a1+a2)"
 
 
+@pytest.mark.parametrize("word", ["1,3,1", "0,1,2", "1,2,-1"])
+def test_dbar_flag_letter_outside_vertices_exit_two(capsys, word):
+    code, out, err = run(
+        capsys, ["dbar-flag", "--type", "A", "--rank", "2", "--word", word]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: word letter ") and "not a vertex 1..2" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_dbar_weights_from_file(capsys, tmp_path):
     path = tmp_path / "weights.json"
     path.write_text(json.dumps([{"word": [1, 2], "dim": 1}, {"word": [2, 1], "dim": 1}]))
@@ -127,6 +137,20 @@ def test_dbar_weights_from_file(capsys, tmp_path):
         capsys, ["dbar-weights", "--type", "A", "--rank", "2", "--file", str(path)]
     )
     assert code == 0 and out.strip() == "1/(a1*a2)"
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+def test_dbar_weights_unreadable_file_exit_two(capsys, tmp_path, kind):
+    path = {"missing": tmp_path / "nonexistent.json", "directory": tmp_path,
+            "binary": tmp_path / "weights.bin"}[kind]
+    if kind == "binary":
+        path.write_bytes(bytes([0xD7, 0xFF, 0x00, 0x80]))
+    code, out, err = run(
+        capsys, ["dbar-weights", "--type", "A", "--rank", "2", "--file", str(path)]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read weight data: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_seed_print_and_mutate(capsys):

@@ -1,15 +1,20 @@
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from krtorus.cartan import build_frame
 from krtorus.errors import InvalidInputError
 from krtorus.field import MultiPoly, kernel
 from krtorus.field.poly import integral_primitive
+from krtorus.field.rational import RootContext
+from krtorus.suites import run_suite
+from krtorus.torusmap import TorusMorphism
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +184,90 @@ def test_from_root_factors_matches_build(ctx, roots, others, one_sided, unit, da
     assert got == want
     point = [Fraction(2), Fraction(7), Fraction(19)]  # no form vanishes here
     assert got.evaluate(point) == want.evaluate(point)
+
+
+@lru_cache(maxsize=None)
+def screen_context(cartan_type, rank):
+    return build_frame(cartan_type, rank).root_context
+
+
+def trial_divide_all(ctx, terms, fac, sign):
+    """Divide by every positive-root form while it divides, unscreened."""
+    for root in ctx.roots:
+        pivot = max(i for i, c in enumerate(root) if c)
+        while True:
+            q = kernel.poly_div_linear(terms, root, pivot)
+            if q is None:
+                break
+            fac[root] = fac.get(root, 0) + sign
+            terms = q
+    return terms
+
+
+def reference_build(ctx, unit, num, den):
+    num, cn = integral_primitive(num)
+    den, cd = integral_primitive(den)
+    fac = {}
+    num = trial_divide_all(ctx, num, fac, +1)
+    den = trial_divide_all(ctx, den, fac, -1)
+    num, den = ctx._cancel_residuals(num, den)
+    return Fraction(unit) * cn / cd, {r: e for r, e in fac.items() if e}, num, den
+
+
+def every_root_is_a_candidate(self, terms, tmask):
+    return [(r, max(sum(e) for e in terms)) for r in self.roots]
+
+
+def is_root_form(ctx, terms):
+    coords = [0] * ctx.n
+    for e, c in terms.items():
+        if sum(e) != 1:
+            return False
+        coords[e.index(1)] = c
+    return tuple(coords) in ctx.root_set
+
+
+@given(kind=st.sampled_from([("A", 3), ("D", 4), ("E", 6)]), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_screened_extraction_matches_trial_division(kind, data):
+    ctx = screen_context(*kind)
+    mults = st.dictionaries(st.sampled_from(ctx.roots), st.integers(1, 3), max_size=3)
+    sides = []
+    for _ in range(2):
+        forms = data.draw(mults)
+        terms = integral_primitive(data.draw(poly_dicts(ctx.n, max_exp=2, min_size=1)))[0]
+        assume(not is_root_form(ctx, terms))
+        for root, m in forms.items():
+            form = MultiPoly.linear_form(root).terms
+            for _ in range(m):
+                terms = kernel.poly_mul(terms, form)
+        sides.append(terms)
+    unit = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool))
+    num, den = sides
+    want = reference_build(ctx, unit, num, den)
+    got = ctx.build(unit, {}, num, den)
+    assert (got.unit, got.fac, got.num, got.den) == want
+    # With the screen passing every root, exact division alone decides.
+    with mock.patch.object(RootContext, "_screen", every_root_is_a_candidate):
+        unscreened = ctx.build(unit, {}, num, den)
+    assert (unscreened.unit, unscreened.fac, unscreened.num, unscreened.den) == want
+
+
+def test_no_trial_division_fails(monkeypatch):
+    calls = {"all": 0, "failed": 0}
+    divide = kernel.poly_div_linear
+
+    def counted(p, form, pivot):
+        q = divide(p, form, pivot)
+        calls["all"] += 1
+        calls["failed"] += q is None
+        return q
+
+    monkeypatch.setattr(kernel, "poly_div_linear", counted)
+    assert run_suite("tsystem", build_frame("D", 8)).ok
+    value = TorusMorphism(build_frame("E", 6)).kr_value(3, -8, 1)
+    assert len(value.num) > 1000
+    assert calls["all"] > 0 and calls["failed"] == 0
 
 
 def test_multiplicity_examples(ctx):
