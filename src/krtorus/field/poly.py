@@ -1,6 +1,7 @@
 """Exact multivariate polynomials over the root variables a1..an.
 
-Terms are stored densely by exponent tuple; coefficients are exact
+Terms are stored sparsely, as a dict from exponent tuple to nonzero
+coefficient; exponents are non-negative ints and coefficients are exact
 (int, promoted to Fraction only when needed).  The arithmetic core is
 delegated to the ``kernel`` module.
 """
@@ -10,11 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from ..errors import InvalidInputError
 from . import kernel
 
 __all__ = [
     "MultiPoly",
     "canon_coeff",
+    "check_exponents",
     "integral_primitive",
     "poly_str",
     "support_mask",
@@ -28,6 +31,17 @@ def canon_coeff(c):
     return c
 
 
+def check_exponents(terms, n):
+    """Raise InvalidInputError unless every key is a tuple of n non-negative ints."""
+    for e in terms:
+        if not (
+            isinstance(e, tuple)
+            and len(e) == n
+            and all(isinstance(d, int) and d >= 0 for d in e)
+        ):
+            raise InvalidInputError(f"exponent {e!r}: need {n} non-negative integers")
+
+
 def _clean(terms):
     return {e: canon_coeff(c) for e, c in terms.items() if c}
 
@@ -39,7 +53,11 @@ class MultiPoly:
 
     def __init__(self, n: int, terms=None):
         self.n = n
-        self.terms = _clean(terms) if terms else {}
+        if terms:
+            check_exponents(terms, n)
+            self.terms = _clean(terms)
+        else:
+            self.terms = {}
 
     @classmethod
     def zero(cls, n: int) -> "MultiPoly":

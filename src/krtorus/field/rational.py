@@ -25,6 +25,7 @@ from . import kernel
 from .poly import (
     MultiPoly,
     canon_coeff,
+    check_exponents,
     integral_primitive,
     poly_str,
     support_mask,
@@ -166,8 +167,8 @@ class RootContext:
             dt = den.terms if isinstance(den, MultiPoly) else dict(den)
         if not dt:
             raise ZeroDivisionError("zero denominator polynomial")
-        if any(len(e) != self.n for e in (*nt, *dt)):
-            raise InvalidInputError(f"exponent tuples need {self.n} entries")
+        check_exponents(nt, self.n)
+        check_exponents(dt, self.n)
         return self.build(1, {}, nt, dt)
 
     # -- normalization --------------------------------------------------

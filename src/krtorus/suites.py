@@ -277,6 +277,8 @@ def suite_schurweyl(frame, count=50, seed=2024, **_):
     """Dimension-ratio formula against the all-ones evaluation."""
     if frame.datum.family != "A":
         raise InvalidInputError("the dimension-ratio identity is a type-A statement")
+    if frame.orientation != q0_orientation(frame.datum):
+        raise InvalidInputError("the dimension-ratio identity needs the monotonic orientation")
     res = SuiteResult("schurweyl")
     rng = random.Random(seed)
     calc = TorusMorphism(frame)

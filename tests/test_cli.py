@@ -186,6 +186,20 @@ def test_verify_exit_codes(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "orientation, code",
+    [("1>2,2>3", 0), ("2>1,2>3", 2), ("1>2,3>2", 2), ("2>1,3>2", 2)],
+)
+def test_verify_schurweyl_needs_the_monotonic_orientation(capsys, orientation, code):
+    argv = ["verify", "--type", "A", "--rank", "3", "--orientation", orientation]
+    got, out, err = run(capsys, [*argv, "--suite", "schurweyl"])
+    assert got == code
+    if code:
+        assert err.count("\n") == 1 and "monotonic orientation" in err
+    else:
+        assert out and all(line.startswith("ok") for line in out.splitlines())
+
+
 def test_verify_json_payload(capsys):
     code, out, _ = run(
         capsys,

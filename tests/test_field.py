@@ -5,7 +5,7 @@ from functools import lru_cache
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from krtorus.cartan import build_frame
@@ -22,8 +22,8 @@ def ctx():
     return build_frame("A", 3).root_context
 
 
-def poly_dicts(n=3, max_terms=4, max_exp=3, max_coeff=5, min_size=0):
-    exps = st.tuples(*[st.integers(0, max_exp)] * n)
+def poly_dicts(n=3, max_terms=4, max_exp=3, max_coeff=5, min_size=0, exp=None):
+    exps = st.tuples(*[st.integers(0, max_exp) if exp is None else exp] * n)
     coeffs = st.integers(-max_coeff, max_coeff).filter(lambda c: c != 0)
     return st.dictionaries(exps, coeffs, min_size=min_size, max_size=max_terms)
 
@@ -97,6 +97,79 @@ def test_kernel_div_exact_inverts_mul(p, g):
         assert got == p
     else:
         assert got == {}
+
+
+@given(p=poly_dicts(), g=poly_dicts(min_size=2), m=poly_dicts(min_size=1, max_terms=1))
+@settings(max_examples=60, deadline=None)
+def test_kernel_div_exact_refuses_product_plus_monomial(p, g, m):
+    # p*g + m = q*g would make the monomial m = (q - p)*g, which has at
+    # least two terms when q != p, since g has two.
+    assert kernel.poly_div_exact(kernel.poly_add(kernel.poly_mul(p, g), m), g) is None
+
+
+def tuple_product(a, b):
+    """Reference product: one exponent tuple per pair of terms."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+# Exponents at the edges of packed field widths, mixed with small ones.
+EDGE_EXPONENTS = st.one_of(
+    st.integers(0, 3),
+    st.sampled_from(
+        sorted({2**k - 1 for k in (1, 2, 3, 7, 8, 31, 32, 63, 64)}
+               | {2**k for k in (1, 2, 3, 7, 8, 31, 32, 40, 63, 64, 70)})
+    ),
+)
+
+
+@given(p=poly_dicts(exp=EDGE_EXPONENTS), g=poly_dicts(min_size=1, exp=EDGE_EXPONENTS))
+@settings(max_examples=80, deadline=None)
+def test_kernel_round_trips_at_width_edges(p, g):
+    product = kernel.poly_mul(p, g)
+    assert product == tuple_product(p, g)
+    assert kernel.poly_div_exact(product, g) == p
+    if len(g) >= 2:
+        m = {max(g): 1}
+        assert kernel.poly_div_exact(kernel.poly_add(product, m), g) is None
+
+
+@given(
+    p=poly_dicts(min_size=1, exp=EDGE_EXPONENTS),
+    g=poly_dicts(min_size=1, max_terms=1, exp=EDGE_EXPONENTS),
+)
+@example(p={(14, 0, 0): -1, (3, 0, 0): 3}, g={(4, 0, 0): 1})
+@settings(max_examples=80, deadline=None)
+def test_kernel_div_exact_by_monomial(p, g):
+    (eg, cg), = g.items()
+    got = kernel.poly_div_exact(p, g)
+    if all(x >= y for e in p for x, y in zip(e, eg)):
+        assert got == {tuple(x - y for x, y in zip(e, eg)): Fraction(c, cg) for e, c in p.items()}
+    else:
+        assert got is None
+
+
+@given(
+    c=st.one_of(
+        st.integers(-9, 9).filter(bool),
+        st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+    ),
+    b=poly_dicts(),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_constant_operand_matches_general_product(c, b):
+    const = {(0, 0, 0): c}
+    assert kernel.poly_mul(const, b) == tuple_product(const, b)
+    assert kernel.poly_mul(b, const) == tuple_product(b, const)
+    if b:
+        # One more term sends the same product through the general path.
+        x = {(0, 0, 0): c, (5, 0, 0): 1}
+        shifted = kernel.poly_mul({(5, 0, 0): 1}, b)
+        assert kernel.poly_mul(x, b) == kernel.poly_add(kernel.poly_mul(const, b), shifted)
 
 
 @given(a=poly_dicts(), b=poly_dicts(), c=poly_dicts())
@@ -442,6 +515,13 @@ MALFORMED = {
     "long-root": lambda ctx: ctx.from_root_factors([((1, 1, 0, 0), -1)]),
     "short-num-exponent": lambda ctx: ctx.from_fraction({(1, 0): 1}),
     "long-den-exponent": lambda ctx: ctx.from_fraction({(1, 0, 0): 1}, {(0, 0, 0, 1): 2}),
+    "negative-num-exponent": lambda ctx: ctx.from_fraction({(-1, 0, 0): 1, (0, 1, 0): 1}),
+    "fractional-num-exponent": lambda ctx: ctx.from_fraction({(Fraction(3, 2), 0, 0): 1}),
+    "float-den-exponent": lambda ctx: ctx.from_fraction({(1, 0, 0): 1}, {(0, 1.0, 0): 1}),
+    "poly-negative-exponent": lambda ctx: MultiPoly(3, {(0, -2, 0): 1}),
+    "poly-fractional-exponent": lambda ctx: MultiPoly(3, {(0, 0, Fraction(1, 2)): 1}),
+    "poly-float-exponent": lambda ctx: MultiPoly(3, {(1.5, 0, 0): 1}),
+    "poly-short-exponent": lambda ctx: MultiPoly(3, {(1, 0): 1}),
     "json-not-a-dict": [GOOD_JSON],
     "json-text": "1/a1",
     "json-no-unit": without("unit"),
@@ -455,6 +535,11 @@ MALFORMED = {
     "json-fractional-exp": {**GOOD_JSON, "root_factors": [{"root": [1, 0, 0], "exp": 1.5}]},
     "json-float-root": {**GOOD_JSON, "root_factors": [{"root": [1.0, 0, 0], "exp": 1}]},
     "json-short-exponent": {**GOOD_JSON, "num_terms": [{"coeff": "1", "exp": [1, 0]}]},
+    "json-negative-exponent": {**GOOD_JSON, "num_terms": [
+        {"coeff": "1", "exp": [-1, 0, 0]}, {"coeff": "1", "exp": [0, 1, 0]}
+    ]},
+    "json-fractional-exponent": {**GOOD_JSON, "num_terms": [{"coeff": "1", "exp": [1.5, 0, 0]}]},
+    "json-float-exponent": {**GOOD_JSON, "den_terms": [{"coeff": "1", "exp": [0, 1.0, 0]}]},
     "json-coeff-not-text": {**GOOD_JSON, "num_terms": [{"coeff": None, "exp": [1, 0, 0]}]},
 }
 
