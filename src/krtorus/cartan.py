@@ -521,10 +521,15 @@ class ARFrame:
         return p <= self.xi[i] and (self.xi[i] - p) % 2 == 0
 
     def check_point(self, i: int, p: int):
+        if i not in self.xi:
+            raise InvalidInputError(
+                f"({i},{p}) is not a torus point: vertex {i} is not on the diagram "
+                f"(vertices 1..{self.datum.rank})"
+            )
         if not self.in_torus(i, p):
             raise InvalidInputError(
                 f"({i},{p}) is not a torus point: need p <= xi({i}) = "
-                f"{self.xi.get(i, '?')} with matching parity"
+                f"{self.xi[i]} with matching parity"
             )
 
     def phi(self, i: int, p: int) -> int:

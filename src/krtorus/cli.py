@@ -26,6 +26,13 @@ from .torusmap import TorusMorphism, parse_monomial
 
 __all__ = ["main"]
 
+# Size limits, chosen so that every accepted input finishes within
+# seconds: on a 2-core VM, ctilde up to m = 10000 takes about 1.5 s on A12
+# and D12, and a seed on a window of 1000 about 1-2 s on A2, D12 and E8
+# (its cost grows with the square of the window).
+MAX_MMAX = 10000
+MAX_WINDOW = 1000
+
 
 def _add_frame_args(cmd):
     cmd.add_argument("--type", dest="family", default="A", choices=("A", "D", "E"))
@@ -172,6 +179,8 @@ def _run(args) -> int:
     if args.command == "ctilde":
         if args.mmax < 1:
             raise InvalidInputError(f"mmax must be at least 1, got {args.mmax}")
+        if args.mmax > MAX_MMAX:
+            raise InvalidInputError(f"mmax must be at most {MAX_MMAX}, got {args.mmax}")
         table = QuantumCartanInverse(frame.datum)
         rows = [
             {"i": args.i, "j": args.j, "m": m, "value": table.coeff(args.i, args.j, m)}
@@ -256,6 +265,8 @@ def _run(args) -> int:
         return 0
 
     if args.command in ("seed", "mutate"):
+        if args.window > MAX_WINDOW:
+            raise InvalidInputError(f"window must be at most {MAX_WINDOW}, got {args.window}")
         calc = TorusMorphism(frame)
         seed = initial_seed(calc, args.window, specialize_frozen=args.quotient)
         if args.command == "mutate":

@@ -104,8 +104,17 @@ def mutate(seed: Seed, v: int) -> Seed:
     old = seed.values[v]
     if old.is_zero():
         raise InvalidInputError(f"cannot mutate at a zero value (vertex {v})")
-    incoming = quiver.arrows_in(v)
-    outgoing = quiver.arrows_out(v)
+    # One pass splits the arrows at v from the rest.  The quiver has no
+    # 2-cycles, so the only ones mutation can create are a -> b against
+    # an existing b -> a, for a an in- and b an out-neighbour of v.
+    incoming, outgoing, arr = [], [], {}
+    for a, b, m in quiver.arrows:
+        if b == v:
+            incoming.append((a, m))
+        elif a == v:
+            outgoing.append((b, m))
+        else:
+            arr[(a, b)] = m
     prod_in = seed.calc.ctx.one()
     for a, m in incoming:
         prod_in = prod_in * seed.values[a] ** m
@@ -116,26 +125,22 @@ def mutate(seed: Seed, v: int) -> Seed:
     if new_value.is_zero():
         raise ConsistencyError(f"exchange at vertex {v} produced zero")
 
-    arr = quiver.arrow_counter()
     for a, ma in incoming:
+        arr[(v, a)] = ma
         for b, mb in outgoing:
-            arr[(a, b)] += ma * mb
-    for a, ma in incoming:
-        del arr[(a, v)]
-        arr[(v, a)] += ma
+            m = ma * mb - arr.pop((b, a), 0)
+            if m > 0:
+                arr[(a, b)] = arr.get((a, b), 0) + m
+            elif m < 0:
+                arr[(b, a)] = -m
     for b, mb in outgoing:
-        del arr[(v, b)]
-        arr[(b, v)] += mb
-    for a, b in [key for key in arr if key[::-1] in arr and arr[key] > 0]:
-        if arr[(a, b)] > 0 and arr[(b, a)] > 0:
-            m = min(arr[(a, b)], arr[(b, a)])
-            arr[(a, b)] -= m
-            arr[(b, a)] -= m
+        arr[(b, v)] = mb
 
     values = dict(seed.values)
     values[v] = new_value
+    arrows = tuple((a, b, m) for (a, b), m in sorted(arr.items()))
     return Seed(
-        quiver=Quiver.from_counter(quiver.vertices, arr, quiver.frozen),
+        quiver=Quiver(quiver.vertices, arrows, quiver.frozen),
         values=values,
         calc=seed.calc,
     )

@@ -7,26 +7,63 @@ and ``RootContext.from_fraction`` check this on input, and the packed
 arithmetic below relies on it.  Callers reach these functions through the
 module (``kernel.poly_mul``) so that a tracer can wrap them in one place.
 
-``poly_mul`` and ``poly_div_exact`` work on packed monomials (Monagan &
-Pearce, CASC 2007 and JSC 46, 2011); nothing outside this module sees
-them.  On entry each exponent tuple becomes one int with one bit field
-per variable, variable 1 in the most significant field, so integer order
-is the lex order of the tuples (the order of ``max`` on tuples,
-``integral_primitive`` and ``poly_str``).  Each call sizes its fields
-from its inputs: enough bits for the largest exponent any intermediate
-term can reach, plus one guard bit on top.  There is no fixed limit and
-nothing overflows; only the result is unpacked.  A product of monomials
-is one int add.  A difference of monomials borrows into some guard bit
-exactly when one of its exponents is negative, which is the
-divisibility test of the exact division.  That division keeps the
+``poly_mul`` and ``poly_div_exact`` take one of two paths, picked by the
+shape of their operands alone; nothing outside this module sees either
+encoding, and both return the same tuple-keyed dicts.
+
+The packed path (Monagan & Pearce, CASC 2007 and JSC 46, 2011) serves
+every operand.  On entry each exponent tuple becomes one int with one
+bit field per variable, variable 1 in the most significant field, so
+integer order is the lex order of the tuples (the order of ``max`` on
+tuples, ``integral_primitive`` and ``poly_str``).  Each call sizes its
+fields from its inputs: enough bits for the largest exponent any
+intermediate term can reach, plus one guard bit on top.  There is no
+fixed limit and nothing overflows; only the result is unpacked.  A
+product of monomials is one int add.  A difference of monomials borrows
+into some guard bit exactly when one of its exponents is negative, which
+is the divisibility test of the exact division.  That division keeps the
 exponents of its pending remainder in a max-heap and pops the leading
 term instead of scanning for it; a term that cancels stays in the heap
-and is skipped when it comes up.
+and is skipped when it comes up.  A product with a lone constant term
+only scales the other operand.
+
+The big-integer path (Kronecker substitution on a dense tail: Fateman,
+"Can you save time in multiplying polynomials by encoding them as
+integers?", 2010; Harvey, JSC 44, 2009) serves large operands that are
+homogeneous in at least three variables with int coefficients and
+hold at least a quarter of the monomials of their degree, the shape of
+T-system residuals: a product whose smaller operand has at least
+``_MUL_MIN_TERMS`` terms and at least ``_MUL_MIN_PAIRS`` pairs of terms,
+and an exact division of at least ``_DIV_MIN_TERMS`` terms by a
+primitive divisor of two or more terms.  Below these sizes, measured on
+the E6 and D8 T-system operands, the packed path is as fast or faster.
+The terms are grouped by their first n-3 exponents (the head); a group's
+tail becomes one int with one signed slot of B = 8*nb bits for each
+(e[n-3], e[n-2]), at slot e[n-3]*stride + e[n-2], the last exponent
+following from the degree.  Encoding is evaluation at powers of two, a
+ring homomorphism, so a product is one int product per pair of groups,
+added into the output group, and decoding reads the balanced base-2^B
+digits.  The encoding is injective on polynomials whose coefficients
+satisfy |c| < 2^(B-1) and whose e[n-2] stays below the stride.  A
+product's slots are sized from its inputs: no coefficient exceeds
+min(max|a| * sum|b|, sum|a| * max|b|).  An exact division is a lex long
+division over the group keys, each step one integer ``divmod`` by the
+divisor's leading group; a nonzero remainder or a quotient key outside
+the dividend's head degrees proves that g does not divide p.  Its
+quotient is certified by the same bound with max|q| and sum|q|, plus
+non-negative decoded exponents and tail slots of q*g below the stride;
+when that check fails the slots are widened, and a quotient is never
+returned uncertified (see ``_kron_div_at``).
 """
 
 import heapq
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, gcd
+
+_MUL_MIN_TERMS = 16
+_MUL_MIN_PAIRS = 10000
+_DIV_MIN_TERMS = 1000
 
 
 @lru_cache(maxsize=None)
@@ -78,6 +115,15 @@ def poly_mul(a, b):
         (e, c), = a.items()
         if not any(e):
             return {eb: c * cb for eb, cb in b.items()}
+    if len(a) >= _MUL_MIN_TERMS and len(a) * len(b) >= _MUL_MIN_PAIRS:
+        da, db = _degree(a), _degree(b)
+        if da is not None and db is not None:
+            return _kron_mul(a, b, da + db)
+    return _packed_mul(a, b)
+
+
+def _packed_mul(a, b):
+    """Product on packed monomials: one int add per pair of terms."""
     width = _width(max(map(max, a)) + max(map(max, b)))
     shifts, mask, _ = _layout(len(next(iter(a))), width)
     pb = _pack(b, width)
@@ -93,14 +139,27 @@ def poly_mul(a, b):
 def poly_div_exact(p, g):
     """Exact division of ``p`` by an arbitrary nonzero ``g``.
 
-    Single-divisor reduction in lexicographic order: whenever p = q*g the
-    remainder comes out zero, so None reliably means "not divisible".  A
-    true quotient has no exponent above p's degree in that variable, so a
-    quotient term that does means None as well; this also bounds every
-    intermediate exponent by the largest exponents of p and g.
+    Returns the quotient term dict, or None when ``g`` does not divide
+    ``p``.
     """
     if not p:
         return {}
+    if len(p) >= _DIV_MIN_TERMS and len(g) >= 2:
+        dp, dg = _degree(p), _degree(g)
+        if dp is not None and dg is not None and gcd(*g.values()) == 1:
+            return _kron_div_exact(p, g, dp - dg)
+    return _packed_div_exact(p, g)
+
+
+def _packed_div_exact(p, g):
+    """Single-divisor reduction in lexicographic order on packed monomials.
+
+    Whenever p = q*g the remainder comes out zero, so None reliably means
+    "not divisible".  A true quotient has no exponent above p's degree in
+    that variable, so a quotient term that does means None as well; this
+    also bounds every intermediate exponent by the largest exponents of p
+    and g.
+    """
     degs = [max(col) for col in zip(*p)]
     width = _width(max(degs) + max(map(max, g)))
     shifts, mask, guard = _layout(len(degs), width)
@@ -142,6 +201,237 @@ def poly_div_exact(p, g):
                 else:
                     del r[te]
     return _unpack(q, shifts, mask)
+
+
+# -- the big-integer (Kronecker) path ------------------------------------------
+
+
+def _degree(terms):
+    """Total degree of ``terms`` if it is homogeneous with int coefficients
+    in at least three variables and holds at least a quarter of all the
+    monomials of its degree, else None.
+
+    T-system residuals are nearly dense, and density keeps the encoding
+    small: a group with tail degree t spans at most (t+1) * stride slots,
+    at most stride times the number of monomials it could hold.  Sparse
+    operands, with few pairs of terms meeting in one monomial, are faster
+    on the packed path anyway.
+    """
+    degs = set(map(sum, terms))
+    n = len(next(iter(terms)))
+    if len(degs) != 1 or n < 3:
+        return None
+    d = degs.pop()
+    if 4 * len(terms) < comb(d + n - 1, n - 1):
+        return None
+    for c in terms.values():
+        if type(c) is not int:
+            return None
+    return d
+
+
+def _norms(terms):
+    """(max |c|, sum |c|) over the coefficients of ``terms``."""
+    mags = list(map(abs, terms.values()))
+    return max(mags), sum(mags)
+
+
+def _groups(terms, width, stride):
+    """Terms grouped by their first n-3 exponents, the key packed like a
+    monomial with fields of ``width`` bits: {key: [(slot, coeff), ...]},
+    where slot = e[n-3] * stride + e[n-2]."""
+    m = len(next(iter(terms))) - 3
+    by_head = {}
+    for e, c in terms.items():
+        head = e[:m]
+        slot = e[m] * stride + e[m + 1]
+        group = by_head.get(head)
+        if group is None:
+            by_head[head] = [(slot, c)]
+        else:
+            group.append((slot, c))
+    out = {}
+    for head, group in by_head.items():
+        k = 0
+        for d in head:
+            k = k << width | d
+        out[k] = group
+    return out
+
+
+def _offset(nb, count):
+    """The int with 2^(8*nb - 1) in each of ``count`` slots of nb bytes."""
+    return int.from_bytes(_half(nb) * count, "little")
+
+
+@lru_cache(maxsize=None)
+def _half(nb):
+    return (1 << (8 * nb - 1)).to_bytes(nb, "little")
+
+
+def _encode(group, nb):
+    """sum c * 2^(8*nb*slot) over the (slot, c) pairs, for |c| < 2^(8*nb-1)."""
+    count = max(s for s, _ in group) + 1
+    buf = bytearray(_half(nb) * count)
+    half = 1 << (8 * nb - 1)
+    for s, c in group:
+        buf[s * nb:(s + 1) * nb] = (c + half).to_bytes(nb, "little")
+    return int.from_bytes(buf, "little") - _offset(nb, count)
+
+
+def _decode(v, nb):
+    """The base-2^B digits of ``v``, B = 8*nb, each plus 2^(B-1): for the
+    one expansion of v with every digit in [-2^(B-1), 2^(B-1)).
+
+    Adding 2^(B-1) to every slot makes all digits non-negative; that one
+    addition carries every borrow of the negative digits, so each slot
+    can then be read on its own.  A zero digit reads 2^(B-1).
+    """
+    size = ((v.bit_length() + 1) // (8 * nb) + 1) * nb
+    raw = (v + _offset(nb, size // nb)).to_bytes(size, "little")
+    return [int.from_bytes(raw[o:o + nb], "little") for o in range(0, size, nb)]
+
+
+def _kron_mul(a, b, degree):
+    """Product of homogeneous int polynomials of total degree summing to
+    ``degree``: one big-int product per pair of groups."""
+    m = len(next(iter(a))) - 3
+    stride = max(e[m + 1] for e in a) + max(e[m + 1] for e in b) + 1
+    width = _width(degree)
+    shifts, mask, _ = _layout(m, width)
+    (top_a, sum_a), (top_b, sum_b) = _norms(a), _norms(b)
+    # Each product coefficient is at most min(top_a*sum_b, sum_a*top_b)
+    # in absolute value; one more bit for the sign.
+    nb = min(top_a * sum_b, sum_a * top_b).bit_length() // 8 + 1
+    gb = [(k, _encode(group, nb)) for k, group in _groups(b, width, stride).items()]
+    out = {}
+    get = out.get
+    for ka, group in _groups(a, width, stride).items():
+        va = _encode(group, nb)
+        for kb, vb in gb:
+            k = ka + kb
+            out[k] = get(k, 0) + va * vb
+    return _ungroup(out, nb, stride, degree, shifts, mask)
+
+
+def _ungroup(groups, nb, stride, degree, shifts, mask):
+    """Decoded term dict of encoded groups, with the last exponent
+    completing each term to total degree ``degree``."""
+    half = 1 << (8 * nb - 1)
+    terms = {}
+    tails = {}
+    for k, v in groups.items():
+        if not v:
+            continue
+        head = tuple([k >> s & mask for s in shifts])
+        rest = degree - sum(head)
+        digits = _decode(v, nb)
+        tail = tails.get(rest)
+        if tail is None or len(tail) < len(digits):
+            tail = tails[rest] = [
+                (x, y, rest - x - y) for x in range(len(digits) // stride + 1) for y in range(stride)
+            ]
+        for s, u in enumerate(digits):
+            if u != half:
+                terms[head + tail[s]] = u - half
+    return terms
+
+
+def _kron_div_exact(p, g, degree):
+    """Exact division of homogeneous int polynomials, ``g`` primitive, the
+    quotient of total degree ``degree``: None or the certified quotient.
+
+    A slot width that cannot certify the quotient is widened once, to
+    what the uncertified quotient asks for or else to twice the width;
+    a division that still cannot be certified goes to the packed path.
+    """
+    if degree < 0:
+        return None
+    top = max(max(map(abs, p.values())), max(map(abs, g.values())))
+    nb = (top.bit_length() + 4) // 8 + 1
+    for _ in range(2):
+        q = _kron_div_at(p, g, degree, nb)
+        if not isinstance(q, int):
+            return q
+        nb = q
+    return _packed_div_exact(p, g)
+
+
+def _kron_div_at(p, g, degree, nb):
+    """Lex long division over the group keys with slots of nb bytes.
+
+    Returns None when the division provably fails, the quotient when the
+    encoding is proven injective on q*g, and otherwise a wider slot size
+    in bytes to try.  Each step divides the leading remainder group by
+    the divisor's leading group in one integer ``divmod``.  If p = q*g,
+    every such division is exact (Gauss: q has int coefficients since g
+    is primitive) and no quotient key is negative or above p's degree in
+    a head variable, so either event proves failure.  A quotient that
+    comes out of exact steps satisfies enc(p) = enc(q)*enc(g) group by
+    group; it equals p's true quotient when the encoding is injective on
+    q*g and on p: every tail exponent of q is non-negative, the tail
+    slots of q*g stay below the stride (those of p do by the choice of
+    stride), and each coefficient of q*g, at most
+    min(max|q| * sum|g|, sum|q| * max|g|), fits a signed slot, as each
+    coefficient of p and g must on entry.  The
+    ``None`` proofs need no such check: encoding is a ring homomorphism,
+    so p = q*g implies enc(p) = enc(q)*enc(g) at every slot width.
+    """
+    m = len(next(iter(p))) - 3
+    stride = max(e[m + 1] for e in p) + 1
+    tail_g = max(e[m + 1] for e in g)
+    if tail_g >= stride:
+        return None  # q*g would exceed p's degree in variable n-1
+    heads = [max(col) for col in zip(*[e[:m] for e in p])]
+    width = _width(max(heads, default=0) + max(max(e[:m], default=0) for e in g))
+    shifts, mask, guard = _layout(m, width)
+    limit = 0
+    for d in heads:
+        limit = limit << width | d
+    limit |= guard
+    divisor = sorted(
+        ((k, _encode(group, nb)) for k, group in _groups(g, width, stride).items()),
+        reverse=True,
+    )
+    lead_g, lead_v = divisor[0]
+    rest = divisor[1:]
+    r = {k: _encode(group, nb) for k, group in _groups(p, width, stride).items()}
+    heap = [-k for k in r]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    q = {}
+    while heap:
+        lead = -pop(heap)
+        v = r.pop(lead, None)
+        if v is None:
+            continue
+        kq = lead - lead_g
+        if kq & guard or (limit - kq) & guard != guard:
+            return None
+        vq, rem = divmod(v, lead_v)
+        if rem:
+            return None
+        q[kq] = vq
+        for k, vg in rest:
+            k += kq
+            s = r.get(k)
+            if s is None:
+                r[k] = -vq * vg
+                push(heap, -k)
+            else:
+                s -= vq * vg
+                if s:
+                    r[k] = s
+                else:
+                    del r[k]
+    terms = _ungroup(q, nb, stride, degree, shifts, mask)
+    if any(e[-1] < 0 for e in terms) or (
+        max(e[m + 1] for e in terms) + tail_g >= stride
+    ):
+        return 2 * nb
+    (top_q, sum_q), (top_g, sum_g) = _norms(terms), _norms(g)
+    need = min(top_q * sum_g, sum_q * top_g).bit_length() // 8 + 1
+    return terms if need <= nb else need
 
 
 def poly_div_linear(p, form, pivot):

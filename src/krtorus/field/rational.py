@@ -280,6 +280,16 @@ class RootContext:
         Quotients of primitive integer polynomials with positive leading
         signs stay primitive with positive leading signs, so no content
         pass is needed afterwards.
+
+        No gcd is taken, so this is canonical only where it needs to be.
+        The engines' values (KR classes, cuspidal values, weight sums,
+        cluster variables) are sums of products of root forms, so their
+        denominator residual is 1 and their normal form is unique: equal
+        values render the same.  A value built from user-supplied
+        fractions (``from_fraction``, value JSON) whose numerator and
+        denominator share a non-root factor keeps that factor on both
+        sides; it still compares equal to its reduced form (equality is
+        decided by subtraction) but may render differently.
         """
         if num == den:
             return dict(self._one), dict(self._one)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from krtorus.cli import main
+from krtorus.cli import MAX_MMAX, MAX_WINDOW, main
 from krtorus.field.rational import RootRational
 
 
@@ -227,3 +227,34 @@ def test_anchor_option_shifts_heights(capsys):
         capsys, ["info", "--type", "A", "--rank", "2", "--anchor", "nope"]
     )
     assert code == 2 and "anchor" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ctilde", "--type", "A", "--rank", "2", "1", "1", "10000000"], "mmax must be at most"),
+        (["ctilde", *SS, "1", "1", str(MAX_MMAX + 1)], "mmax must be at most"),
+        (["mutate", "--type", "A", "--rank", "2", "--window", "100000", "--seq", "1"],
+         "window must be at most"),
+        (["seed", *SS, "--window", str(MAX_WINDOW + 1)], "window must be at most"),
+    ],
+    ids=["ctilde-1e7", "ctilde-above-bound", "mutate-1e5", "seed-above-bound"],
+)
+def test_size_limits_refused_fast(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1
+
+
+def test_mmax_bound_is_accepted(capsys):
+    code, out, _ = run(capsys, ["ctilde", "--type", "A", "--rank", "2", "1", "1", str(MAX_MMAX)])
+    assert code == 0 and len(out.splitlines()) == MAX_MMAX
+
+
+def test_vertex_off_the_diagram_exit_two(capsys):
+    code, out, err = run(capsys, ["dtilde-kr", "--type", "A", "--rank", "2", "3", "0", "1"])
+    assert code == 2 and out == ""
+    assert err == "error: (3,0) is not a torus point: vertex 3 is not on the diagram (vertices 1..2)\n"

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from krtorus.cluster import Seed, initial_seed, mutate, mutate_sequence
+from krtorus.cluster import Quiver, Seed, initial_seed, mutate, mutate_sequence
 from krtorus.errors import InvalidInputError
 from krtorus.field.poly import MultiPoly
 from krtorus.torusmap import TorusMorphism
@@ -175,3 +177,37 @@ def test_exchange_conservation_random_sequences(ss_quotient, d4):
             for (a, b), m in counter.items():
                 assert m > 0 and a != b and counter.get((b, a), 0) == 0
             seed = nxt
+
+
+@given(
+    entries=st.lists(st.integers(-3, 3), min_size=21, max_size=21),
+    n=st.integers(2, 7),
+    k=st.integers(1, 7),
+)
+@settings(max_examples=100, deadline=None)
+def test_quiver_mutation_matches_matrix_mutation(ss_calc, entries, n, k):
+    # Exchange matrix B[i][j] = #(i -> j) - #(j -> i) of a random quiver
+    # with multiplicities; mutation at k is the b'_ij rule:
+    # b'_ij = -b_ij if k in (i, j), else b_ij + sign(b_ik) max(b_ik b_kj, 0).
+    k = (k - 1) % n + 1
+    vertices = range(1, n + 1)
+    pairs = [(i, j) for i in vertices for j in vertices if i < j]
+    B = {(i, j): 0 for i in vertices for j in vertices}
+    for (i, j), b in zip(pairs, entries):
+        B[i, j], B[j, i] = b, -b
+    arrows = tuple((i, j, B[i, j]) for i in vertices for j in vertices if B[i, j] > 0)
+    one = ss_calc.ctx.one()
+    seed = Seed(Quiver(tuple(vertices), arrows, frozenset()), {v: one for v in vertices}, ss_calc)
+    got = mutate(seed, k).quiver
+    want = {}
+    for i in vertices:
+        for j in vertices:
+            if k in (i, j):
+                want[i, j] = -B[i, j]
+            else:
+                sign = (B[i, k] > 0) - (B[i, k] < 0)
+                want[i, j] = B[i, j] + sign * max(B[i, k] * B[k, j], 0)
+    assert got.arrows == tuple(
+        (i, j, want[i, j]) for i in vertices for j in vertices if want[i, j] > 0
+    )
+    assert got.vertices == seed.quiver.vertices and got.frozen == seed.quiver.frozen

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from unittest import mock
 
 import pytest
@@ -170,6 +171,177 @@ def test_kernel_constant_operand_matches_general_product(c, b):
         x = {(0, 0, 0): c, (5, 0, 0): 1}
         shifted = kernel.poly_mul({(5, 0, 0): 1}, b)
         assert kernel.poly_mul(x, b) == kernel.poly_add(kernel.poly_mul(const, b), shifted)
+
+
+# -- the big-integer (Kronecker) path of the kernel -----------------------
+
+
+def dense(rnd, n, degree, fill, coeff):
+    """Each monomial of total degree ``degree`` in n variables with
+    probability ``fill``, with coefficient ``coeff(rnd)``: homogeneous,
+    and for fill >= 1/2 about as dense as T-system residuals, which the
+    big-integer path needs; most dense tails still have empty slots."""
+    terms = {}
+    for picks in combinations_with_replacement(range(n), degree):
+        if rnd.random() < fill:
+            terms[tuple(picks.count(i) for i in range(n))] = coeff(rnd)
+    return terms
+
+
+KRON_COEFFS = {
+    "unit": lambda r: r.choice([-1, 1]),
+    "small": lambda r: r.choice([-1, 1]) * r.randint(1, 9),
+    "wide": lambda r: r.choice([-1, 1]) * r.randint(1, 2**70),
+    "negative": lambda r: -r.randint(1, 2**20),
+}
+
+# (degree of the small operand, degree of the large one) per number of
+# variables: about 20 and 600 terms at the fills below, so that products
+# cross the size thresholds of the big-integer path.  For n = 3 every
+# operand is one group (no head variables); n = 4 has a one-variable head.
+KRON_MUL_DEGREES = {3: (7, 50), 4: (4, 17), 5: (3, 11), 6: (3, 8)}
+
+
+def on_kron_path(a, b):
+    small, large = sorted((a, b), key=len)
+    return (
+        len(small) >= kernel._MUL_MIN_TERMS
+        and len(small) * len(large) >= kernel._MUL_MIN_PAIRS
+        and kernel._degree(a) is not None
+        and kernel._degree(b) is not None
+    )
+
+
+@given(
+    n=st.sampled_from(sorted(KRON_MUL_DEGREES)),
+    mode=st.sampled_from(sorted(KRON_COEFFS)),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=25, deadline=None)
+def test_kronecker_mul_matches_packed(n, mode, seed):
+    rnd = random.Random(seed)
+    da, db = KRON_MUL_DEGREES[n]
+    a = dense(rnd, n, da, 0.7, KRON_COEFFS[mode])
+    b = dense(rnd, n, db, 0.55, KRON_COEFFS[mode])
+    assume(on_kron_path(a, b))
+    with mock.patch.object(kernel, "_kron_mul", wraps=kernel._kron_mul) as spy:
+        got = kernel.poly_mul(a, b)
+    assert spy.called
+    assert got == kernel._packed_mul(a, b)
+
+
+@given(
+    n=st.sampled_from(sorted(KRON_MUL_DEGREES)),
+    k=st.integers(3, 9),
+    signs=st.tuples(st.sampled_from([-1, 1]), st.sampled_from([-1, 1])),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=20, deadline=None)
+def test_kronecker_mul_at_slot_width_edges(n, k, signs, seed):
+    # One term of each operand is large, T = 2^(4k) and T' = 2^(4k-1) + 1,
+    # the others +-1.  The slots are sized from the bound
+    # min(max|a| * sum|b|, sum|a| * max|b|), which then has a bit length
+    # of 8k: k+1 bytes with the sign bit.  The product of the two large
+    # terms, about T * T' >= 2^(8k-1), would not fit a k-byte slot, one
+    # bit short of the bound.
+    rnd = random.Random(seed)
+    da, db = KRON_MUL_DEGREES[n]
+    a = dense(rnd, n, da, 0.7, KRON_COEFFS["unit"])
+    b = dense(rnd, n, db, 0.55, KRON_COEFFS["unit"])
+    assume(on_kron_path(a, b))
+    ea, eb = rnd.choice(sorted(a)), rnd.choice(sorted(b))
+    a[ea], b[eb] = signs[0] * ((1 << (4 * k - 1)) + 1), signs[1] << (4 * k)
+    bound = min(
+        max(map(abs, a.values())) * sum(map(abs, b.values())),
+        sum(map(abs, a.values())) * max(map(abs, b.values())),
+    )
+    assert bound.bit_length() == 8 * k
+    got = kernel.poly_mul(a, b)
+    assert abs(got[tuple(x + y for x, y in zip(ea, eb))]) >= 1 << (8 * k - 1)
+    assert got == kernel._packed_mul(a, b)
+
+
+# (degree of q, degree of g) per number of variables: p = q*g has at least
+# a thousand terms.
+KRON_DIV_DEGREES = {3: (25, 25), 4: (9, 9), 5: (6, 6), 6: (4, 5)}
+
+
+@given(
+    n=st.sampled_from(sorted(KRON_DIV_DEGREES)),
+    mode=st.sampled_from(sorted(KRON_COEFFS)),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=15, deadline=None)
+def test_kronecker_div_exact_matches_packed(n, mode, seed):
+    rnd = random.Random(seed)
+    dq, dg = KRON_DIV_DEGREES[n]
+    q = dense(rnd, n, dq, 0.6, KRON_COEFFS[mode])
+    g = dense(rnd, n, dg, 0.6, KRON_COEFFS[mode])
+    g[min(g)] = 1  # primitive
+    p = kernel._packed_mul(q, g)
+    assume(len(p) >= kernel._DIV_MIN_TERMS and kernel._degree(p) is not None)
+    m = {min(p): 1}
+    with mock.patch.object(kernel, "_kron_div_exact", wraps=kernel._kron_div_exact) as spy:
+        assert kernel.poly_div_exact(p, g) == q
+        # q*g + m for a monomial m of the same degree stays on the
+        # big-integer path; it is not divisible (m = (q' - q)*g would need
+        # g to be a monomial).
+        assert kernel.poly_div_exact(kernel.poly_add(p, m), g) is None
+        assert spy.call_count == 2
+    assert kernel._packed_div_exact(kernel.poly_add(p, m), g) is None
+    # A term of another degree makes the dividend inhomogeneous, which
+    # the packed path divides (and refuses).
+    inhomogeneous = kernel.poly_add(p, {(0,) * n: 1})
+    assert kernel._degree(inhomogeneous) is None
+    assert kernel.poly_div_exact(inhomogeneous, g) is None
+
+
+def telescoping_division(K, r):
+    """p = (x - z) * q in variables (w, x, y, z), with p's coefficients all
+    +1 or -1 and q's up to K: q = Q(x, z) * R(w, y), where Q's
+    coefficients are the partial sums 1, 2, .., K, .., 2, 1 of K ones
+    followed by K minus ones, and R = sum w^i y^(r-i).  Far from dense,
+    so poly_div_exact divides it on the packed path; the tests below call
+    the big-integer division directly."""
+    Q = {(2 * K - 2 - i, i): min(i + 1, 2 * K - 1 - i) for i in range(2 * K - 1)}
+    R = [(i, r - i) for i in range(r + 1)]
+    q = {(w, x, y, z): c for (x, z), c in Q.items() for w, y in R}
+    g = {(0, 1, 0, 0): 1, (0, 0, 0, 1): -1}
+    return tuple_product(q, g), g, q
+
+
+def test_kronecker_div_exact_certifies_before_returning():
+    # At one-byte slots q's coefficients up to 200 cannot be read back,
+    # though every integer division in the encoding is exact.  The
+    # uncertified quotient must not be returned; a wider slot must be
+    # asked for instead, at which q is certified.
+    p, g, q = telescoping_division(200, 4)
+    degree = sum(next(iter(q)))
+    assert set(p.values()) == {1, -1}
+    assert kernel._kron_div_at(p, g, degree, 1) > 1
+    with mock.patch.object(kernel, "_kron_div_at", wraps=kernel._kron_div_at) as spy:
+        assert kernel._kron_div_exact(p, g, degree) == q
+    assert [c.args[3] for c in spy.call_args_list] == [1, 2]
+
+
+def test_kronecker_div_exact_hands_over_to_packed_path():
+    p, g, q = telescoping_division(150, 4)
+    with mock.patch.object(kernel, "_kron_div_at", side_effect=lambda p, g, d, nb: nb + 1) as spy:
+        assert kernel._kron_div_exact(p, g, sum(next(iter(q)))) == q
+    assert spy.call_count == 2
+
+
+def test_sparse_operands_stay_on_the_packed_path():
+    # Homogeneous int operands far from dense in their degree would
+    # encode to mostly empty slots (here 2^40 bytes for one group).
+    big = 2**40
+    a = {(0, i, big - i): 1 + i for i in range(40)}
+    b = {(i, big - i, 0): -1 - i for i in range(300)}
+    with mock.patch.object(kernel, "_encode", wraps=kernel._encode) as spy:
+        product = kernel.poly_mul(a, b)
+        assert product == tuple_product(a, b)
+        assert kernel.poly_div_exact(product, b) == a
+    assert not spy.called
 
 
 @given(a=poly_dicts(), b=poly_dicts(), c=poly_dicts())
