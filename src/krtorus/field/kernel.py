@@ -250,13 +250,7 @@ def _groups(terms, width, stride):
             by_head[head] = [(slot, c)]
         else:
             group.append((slot, c))
-    out = {}
-    for head, group in by_head.items():
-        k = 0
-        for d in head:
-            k = k << width | d
-        out[k] = group
-    return out
+    return dict(_pack(by_head, width))
 
 
 def _offset(nb, count):
