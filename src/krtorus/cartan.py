@@ -336,8 +336,10 @@ def is_dominant_minuscule(datum: DynkinDatum, word) -> bool:
 class ARFrame:
     """Everything attached to (diagram, orientation, height function).
 
-    Immutable after construction; all lookups are cached, so sharing one
-    frame across threads for reads is safe once it has been built.
+    Immutable after construction apart from its lookup caches.  A lock
+    guards the ``beta_eps`` cache, since library callers may share one
+    frame between calculators; the root-position table is filled once,
+    idempotently.
     """
 
     def __init__(self, datum: DynkinDatum, orientation, anchor=None):
@@ -503,9 +505,6 @@ class ARFrame:
         k = (t - 1) % self.N
         base = self.base_word[k]
         return base if ((t - 1) // self.N) % 2 == 0 else self.star[base]
-
-    def word_prefix(self, k: int):
-        return tuple(self.letter(t) for t in range(1, k + 1))
 
     def coxeter(self, vec):
         """Coxeter transformation adapted to the orientation."""

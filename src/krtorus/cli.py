@@ -27,11 +27,13 @@ from .torusmap import TorusMorphism, parse_monomial
 __all__ = ["main"]
 
 # Size limits, chosen so that every accepted input finishes within
-# seconds: on a 2-core VM, ctilde up to m = 10000 takes about 1.5 s on A12
-# and D12, and a seed on a window of 1000 about 1-2 s on A2, D12 and E8
-# (its cost grows with the square of the window).
+# seconds: on a 2-core VM, ctilde up to m = 10000 takes 2.0-2.3 s on A14
+# and D14 (its cost grows with the square of the rank), and a seed on a
+# window of 1000 1.3-2.2 s on A2, A14, D14 and E8 (its cost grows with the
+# square of the window).
 MAX_MMAX = 10000
 MAX_WINDOW = 1000
+MAX_RANK = 14
 
 
 def _add_frame_args(cmd):
@@ -54,6 +56,8 @@ def _add_format_arg(cmd):
 
 
 def _frame_from(args):
+    if args.rank > MAX_RANK:
+        raise InvalidInputError(f"rank must be at most {MAX_RANK}, got {args.rank}")
     anchor = None
     if args.anchor:
         try:

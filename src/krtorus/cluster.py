@@ -52,9 +52,6 @@ class Seed:
     values: dict
     calc: TorusMorphism
 
-    def value(self, v: int):
-        return self.values[v]
-
 
 def initial_seed(calc: TorusMorphism, window: int, specialize_frozen: bool = False) -> Seed:
     """Initial seed on word positions 1..window.

@@ -7,58 +7,64 @@ and ``RootContext.from_fraction`` check this on input, and the packed
 arithmetic below relies on it.  Callers reach these functions through the
 module (``kernel.poly_mul``) so that a tracer can wrap them in one place.
 
-``poly_mul`` and ``poly_div_exact`` take one of two paths, picked by the
-shape of their operands alone; nothing outside this module sees either
-encoding, and both return the same tuple-keyed dicts.
+There is one product loop, ``_packed_mul``, and one long-division loop,
+``_packed_div_exact`` (Monagan & Pearce, CASC 2007 and JSC 46, 2011).  On
+entry each exponent tuple becomes one int with one bit field per
+variable, variable 1 in the most significant field, so integer order is
+the lex order of the tuples (the order of ``max`` on tuples,
+``integral_primitive`` and ``poly_str``).  Each call sizes its fields from
+its inputs: enough bits for the largest exponent any intermediate term
+can reach, plus one guard bit on top.  There is no fixed limit and
+nothing overflows; only the result is unpacked.  A product of monomials
+is one int add.  A difference of monomials borrows into some guard bit
+exactly when one of its exponents is negative, which is the divisibility
+test of the exact division.  That division keeps the exponents of its
+pending remainder in a max-heap and pops the leading term instead of
+scanning for it; a term that cancels stays in the heap and is skipped
+when it comes up.  A product with a lone constant term only scales the
+other operand.
 
-The packed path (Monagan & Pearce, CASC 2007 and JSC 46, 2011) serves
-every operand.  On entry each exponent tuple becomes one int with one
-bit field per variable, variable 1 in the most significant field, so
-integer order is the lex order of the tuples (the order of ``max`` on
-tuples, ``integral_primitive`` and ``poly_str``).  Each call sizes its
-fields from its inputs: enough bits for the largest exponent any
-intermediate term can reach, plus one guard bit on top.  There is no
-fixed limit and nothing overflows; only the result is unpacked.  A
-product of monomials is one int add.  A difference of monomials borrows
-into some guard bit exactly when one of its exponents is negative, which
-is the divisibility test of the exact division.  That division keeps the
-exponents of its pending remainder in a max-heap and pops the leading
-term instead of scanning for it; a term that cancels stays in the heap
-and is skipped when it comes up.  A product with a lone constant term
-only scales the other operand.
+Each step of the division is one integer ``divmod`` of the leading
+remainder coefficient by the divisor's leading coefficient, and a nonzero
+remainder proves that the divisor does not divide.  That rule is exact
+because ``poly_div_exact`` first makes the divisor primitive (int
+coefficients with gcd 1) and clears the dividend's denominators when it
+holds a Fraction: by Gauss's lemma, the quotient of an int polynomial by a
+primitive one, when it exists, has int coefficients.  The quotient is then
+scaled back by the ratio of the two contents.
 
-The big-integer path (Kronecker substitution on a dense tail: Fateman,
-"Can you save time in multiplying polynomials by encoding them as
-integers?", 2010; Harvey, JSC 44, 2009) serves large operands that are
-homogeneous in at least three variables with int coefficients and
-hold at least a quarter of the monomials of their degree, the shape of
-T-system residuals: a product whose smaller operand has at least
-``_MUL_MIN_TERMS`` terms and at least ``_MUL_MIN_PAIRS`` pairs of terms,
-and an exact division of at least ``_DIV_MIN_TERMS`` terms by a
-primitive divisor of two or more terms.  Below these sizes, measured on
-the E6 and D8 T-system operands, the packed path is as fast or faster.
+Large operands that are homogeneous in at least three variables with int
+coefficients and hold at least a quarter of the monomials of their
+degree, the shape of T-system residuals, go through the same two loops
+on big integers (Kronecker substitution on a dense tail: Fateman, "Can
+you save time in multiplying polynomials by encoding them as
+integers?", 2010; Harvey, JSC 44, 2009): a product whose smaller operand
+has at least ``_MUL_MIN_TERMS`` terms and at least ``_MUL_MIN_PAIRS``
+pairs of terms, and an exact division of at least ``_DIV_MIN_TERMS``
+terms by a divisor of two or more terms.  Below these sizes, measured on
+the E6 and D8 T-system operands, the plain loops are as fast or faster.
 The terms are grouped by their first n-3 exponents (the head); a group's
 tail becomes one int with one signed slot of B = 8*nb bits for each
 (e[n-3], e[n-2]), at slot e[n-3]*stride + e[n-2], the last exponent
-following from the degree.  Encoding is evaluation at powers of two, a
-ring homomorphism, so a product is one int product per pair of groups,
-added into the output group, and decoding reads the balanced base-2^B
-digits.  The encoding is injective on polynomials whose coefficients
-satisfy |c| < 2^(B-1) and whose e[n-2] stays below the stride.  A
-product's slots are sized from its inputs: no coefficient exceeds
-min(max|a| * sum|b|, sum|a| * max|b|).  An exact division is a lex long
-division over the group keys, each step one integer ``divmod`` by the
-divisor's leading group; a nonzero remainder or a quotient key outside
-the dividend's head degrees proves that g does not divide p.  Its
-quotient is certified by the same bound with max|q| and sum|q|, plus
-non-negative decoded exponents and tail slots of q*g below the stride;
-when that check fails the slots are widened, and a quotient is never
-returned uncertified (see ``_kron_div_at``).
+following from the degree.  An operand so encoded is a dict {head: tail
+int}, which the two loops take as they take a polynomial.  Encoding is
+evaluation at powers of two, a ring homomorphism, so the loops' product
+of two coefficients is the product of two groups and their exact step
+the division of two groups; decoding reads the balanced base-2^B digits.
+The encoding is injective on polynomials whose coefficients satisfy
+|c| < 2^(B-1) and whose e[n-2] stays below the stride.  A product's
+slots are sized from its inputs: no coefficient exceeds
+min(max|a| * sum|b|, sum|a| * max|b|).  A quotient is certified by the
+same bound with max|q| and sum|q|, plus non-negative decoded exponents
+and tail slots of q*g below the stride; when that check fails the slots
+are widened, and a quotient is never returned uncertified (see
+``_kron_div_at``).
 """
 
 import heapq
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb, gcd
 
 _MUL_MIN_TERMS = 16
@@ -77,6 +83,12 @@ def _layout(n, width):
 def _width(top):
     """Field width for exponents up to ``top``: their bits plus a guard bit."""
     return top.bit_length() + 1
+
+
+def _top(terms):
+    """Largest exponent in ``terms``; 0 for empty exponent tuples, the
+    heads of a three-variable operand on the big-integer path."""
+    return max(chain.from_iterable(terms), default=0)
 
 
 def _pack(terms, width):
@@ -124,7 +136,7 @@ def poly_mul(a, b):
 
 def _packed_mul(a, b):
     """Product on packed monomials: one int add per pair of terms."""
-    width = _width(max(map(max, a)) + max(map(max, b)))
+    width = _width(_top(a) + _top(b))
     shifts, mask, _ = _layout(len(next(iter(a))), width)
     pb = _pack(b, width)
     out = {}
@@ -136,32 +148,75 @@ def _packed_mul(a, b):
     return _unpack(out, shifts, mask)
 
 
+def integral_primitive(terms):
+    """Rewrite terms as content * primitive-integer-poly.
+
+    Returns (new_terms, content) where new_terms has integer coefficients
+    with gcd 1 and positive coefficient on the lex-largest exponent.
+    Content is a Fraction carrying scale and sign; zero input gives
+    ({}, 0).
+    """
+    if not terms:
+        return {}, Fraction(0)
+    den_lcm = 1
+    for c in terms.values():
+        if isinstance(c, Fraction):
+            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+    ints = {}
+    g = 0
+    for e, c in terms.items():
+        v = int(c * den_lcm) if isinstance(c, Fraction) else c * den_lcm
+        ints[e] = v
+        g = gcd(g, abs(v))
+    lead = max(ints)
+    sign = -1 if ints[lead] < 0 else 1
+    scale = sign * g
+    out = {e: v // scale for e, v in ints.items()}
+    return out, Fraction(scale, den_lcm)
+
+
 def poly_div_exact(p, g):
     """Exact division of ``p`` by an arbitrary nonzero ``g``.
 
     Returns the quotient term dict, or None when ``g`` does not divide
-    ``p``.
+    ``p``.  The division itself runs on an int dividend and a primitive
+    divisor; the quotient is scaled back by the ratio of the contents.
     """
     if not p:
         return {}
+    g, content = integral_primitive(g)
+    scale = 1 / content
+    if Fraction in map(type, p.values()):
+        p, content = integral_primitive(p)
+        scale *= content
+    dp = dg = None
     if len(p) >= _DIV_MIN_TERMS and len(g) >= 2:
         dp, dg = _degree(p), _degree(g)
-        if dp is not None and dg is not None and gcd(*g.values()) == 1:
-            return _kron_div_exact(p, g, dp - dg)
-    return _packed_div_exact(p, g)
+    if dp is None or dg is None:
+        q = _packed_div_exact(p, g)
+    else:
+        q = _kron_div_exact(p, g, dp - dg)
+    if q is None or scale == 1:
+        return q
+    for e, c in q.items():
+        c *= scale
+        q[e] = c.numerator if c.denominator == 1 else c
+    return q
 
 
 def _packed_div_exact(p, g):
-    """Single-divisor reduction in lexicographic order on packed monomials.
+    """Single-divisor reduction in lexicographic order on packed monomials,
+    for an int dividend and a primitive divisor (or their big-integer
+    encodings).
 
-    Whenever p = q*g the remainder comes out zero, so None reliably means
-    "not divisible".  A true quotient has no exponent above p's degree in
-    that variable, so a quotient term that does means None as well; this
-    also bounds every intermediate exponent by the largest exponents of p
-    and g.
+    Whenever p = q*g the remainder comes out zero and every step divides
+    exactly, so None reliably means "not divisible".  A true quotient has
+    no exponent above p's degree in that variable, so a quotient term
+    that does means None as well; this also bounds every intermediate
+    exponent by the largest exponents of p and g.
     """
     degs = [max(col) for col in zip(*p)]
-    width = _width(max(degs) + max(map(max, g)))
+    width = _width(max(degs, default=0) + _top(g))
     shifts, mask, guard = _layout(len(degs), width)
     limit = 0
     for d in degs:
@@ -183,10 +238,9 @@ def _packed_div_exact(p, g):
         qe = lead - lead_g
         if qe & guard or (limit - qe) & guard != guard:
             return None
-        if cg != 1:
-            coeff = Fraction(coeff, cg) if isinstance(coeff, int) else coeff / cg
-            if isinstance(coeff, Fraction) and coeff.denominator == 1:
-                coeff = int(coeff)
+        coeff, rem = divmod(coeff, cg)
+        if rem:
+            return None
         q[qe] = coeff
         for e, c in rest:
             te = qe + e
@@ -203,7 +257,7 @@ def _packed_div_exact(p, g):
     return _unpack(q, shifts, mask)
 
 
-# -- the big-integer (Kronecker) path ------------------------------------------
+# -- the big-integer (Kronecker) encoding ---------------------------------------
 
 
 def _degree(terms):
@@ -236,10 +290,10 @@ def _norms(terms):
     return max(mags), sum(mags)
 
 
-def _groups(terms, width, stride):
-    """Terms grouped by their first n-3 exponents, the key packed like a
-    monomial with fields of ``width`` bits: {key: [(slot, coeff), ...]},
-    where slot = e[n-3] * stride + e[n-2]."""
+def _groups(terms, nb, stride):
+    """``terms`` encoded as {head: tail int}: the head is the first n-3
+    exponents, and the tail holds each coefficient of the group at slot
+    e[n-3] * stride + e[n-2], in slots of nb bytes."""
     m = len(next(iter(terms))) - 3
     by_head = {}
     for e, c in terms.items():
@@ -250,7 +304,7 @@ def _groups(terms, width, stride):
             by_head[head] = [(slot, c)]
         else:
             group.append((slot, c))
-    return dict(_pack(by_head, width))
+    return {head: _encode(group, nb) for head, group in by_head.items()}
 
 
 def _offset(nb, count):
@@ -288,36 +342,24 @@ def _decode(v, nb):
 
 def _kron_mul(a, b, degree):
     """Product of homogeneous int polynomials of total degree summing to
-    ``degree``: one big-int product per pair of groups."""
+    ``degree``: the packed product of their encodings."""
     m = len(next(iter(a))) - 3
     stride = max(e[m + 1] for e in a) + max(e[m + 1] for e in b) + 1
-    width = _width(degree)
-    shifts, mask, _ = _layout(m, width)
     (top_a, sum_a), (top_b, sum_b) = _norms(a), _norms(b)
     # Each product coefficient is at most min(top_a*sum_b, sum_a*top_b)
     # in absolute value; one more bit for the sign.
     nb = min(top_a * sum_b, sum_a * top_b).bit_length() // 8 + 1
-    gb = [(k, _encode(group, nb)) for k, group in _groups(b, width, stride).items()]
-    out = {}
-    get = out.get
-    for ka, group in _groups(a, width, stride).items():
-        va = _encode(group, nb)
-        for kb, vb in gb:
-            k = ka + kb
-            out[k] = get(k, 0) + va * vb
-    return _ungroup(out, nb, stride, degree, shifts, mask)
+    product = _packed_mul(_groups(a, nb, stride), _groups(b, nb, stride))
+    return _ungroup(product, nb, stride, degree)
 
 
-def _ungroup(groups, nb, stride, degree, shifts, mask):
-    """Decoded term dict of encoded groups, with the last exponent
-    completing each term to total degree ``degree``."""
+def _ungroup(groups, nb, stride, degree):
+    """Decoded term dict of {head: tail int} groups, with the last
+    exponent completing each term to total degree ``degree``."""
     half = 1 << (8 * nb - 1)
     terms = {}
     tails = {}
-    for k, v in groups.items():
-        if not v:
-            continue
-        head = tuple([k >> s & mask for s in shifts])
+    for head, v in groups.items():
         rest = degree - sum(head)
         digits = _decode(v, nb)
         tail = tails.get(rest)
@@ -352,73 +394,34 @@ def _kron_div_exact(p, g, degree):
 
 
 def _kron_div_at(p, g, degree, nb):
-    """Lex long division over the group keys with slots of nb bytes.
+    """The packed long division of the encodings, with slots of nb bytes.
 
     Returns None when the division provably fails, the quotient when the
     encoding is proven injective on q*g, and otherwise a wider slot size
-    in bytes to try.  Each step divides the leading remainder group by
-    the divisor's leading group in one integer ``divmod``.  If p = q*g,
-    every such division is exact (Gauss: q has int coefficients since g
-    is primitive) and no quotient key is negative or above p's degree in
-    a head variable, so either event proves failure.  A quotient that
-    comes out of exact steps satisfies enc(p) = enc(q)*enc(g) group by
-    group; it equals p's true quotient when the encoding is injective on
-    q*g and on p: every tail exponent of q is non-negative, the tail
-    slots of q*g stay below the stride (those of p do by the choice of
-    stride), and each coefficient of q*g, at most
-    min(max|q| * sum|g|, sum|q| * max|g|), fits a signed slot, as each
-    coefficient of p and g must on entry.  The
-    ``None`` proofs need no such check: encoding is a ring homomorphism,
-    so p = q*g implies enc(p) = enc(q)*enc(g) at every slot width.
+    in bytes to try.  If p = q*g, q has int coefficients (Gauss, as g is
+    primitive), so enc(p) = enc(q)*enc(g): every step of the division,
+    one ``divmod`` of the leading remainder group by the divisor's
+    leading group, is exact, and no quotient key is negative or above
+    p's degree in a head variable, so an inexact step or such a key
+    proves failure.  A quotient that comes out of exact steps satisfies
+    enc(p) = enc(q)*enc(g) group by group; it equals p's true quotient
+    when the encoding is injective on q*g and on p: every tail exponent
+    of q is non-negative, the tail slots of q*g stay below the stride
+    (those of p do by the choice of stride), and each coefficient of q*g,
+    at most min(max|q| * sum|g|, sum|q| * max|g|), fits a signed slot, as
+    each coefficient of p and g must on entry.  The ``None`` proofs need
+    no such check: encoding is a ring homomorphism, so p = q*g implies
+    enc(p) = enc(q)*enc(g) at every slot width.
     """
     m = len(next(iter(p))) - 3
     stride = max(e[m + 1] for e in p) + 1
     tail_g = max(e[m + 1] for e in g)
     if tail_g >= stride:
         return None  # q*g would exceed p's degree in variable n-1
-    heads = [max(col) for col in zip(*[e[:m] for e in p])]
-    width = _width(max(heads, default=0) + max(max(e[:m], default=0) for e in g))
-    shifts, mask, guard = _layout(m, width)
-    limit = 0
-    for d in heads:
-        limit = limit << width | d
-    limit |= guard
-    divisor = sorted(
-        ((k, _encode(group, nb)) for k, group in _groups(g, width, stride).items()),
-        reverse=True,
-    )
-    lead_g, lead_v = divisor[0]
-    rest = divisor[1:]
-    r = {k: _encode(group, nb) for k, group in _groups(p, width, stride).items()}
-    heap = [-k for k in r]
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
-    q = {}
-    while heap:
-        lead = -pop(heap)
-        v = r.pop(lead, None)
-        if v is None:
-            continue
-        kq = lead - lead_g
-        if kq & guard or (limit - kq) & guard != guard:
-            return None
-        vq, rem = divmod(v, lead_v)
-        if rem:
-            return None
-        q[kq] = vq
-        for k, vg in rest:
-            k += kq
-            s = r.get(k)
-            if s is None:
-                r[k] = -vq * vg
-                push(heap, -k)
-            else:
-                s -= vq * vg
-                if s:
-                    r[k] = s
-                else:
-                    del r[k]
-    terms = _ungroup(q, nb, stride, degree, shifts, mask)
+    q = _packed_div_exact(_groups(p, nb, stride), _groups(g, nb, stride))
+    if q is None:
+        return None
+    terms = _ungroup(q, nb, stride, degree)
     if any(e[-1] < 0 for e in terms) or (
         max(e[m + 1] for e in terms) + tail_g >= stride
     ):

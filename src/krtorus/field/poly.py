@@ -9,10 +9,10 @@ delegated to the ``kernel`` module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from ..errors import InvalidInputError
 from . import kernel
+from .kernel import integral_primitive
 
 __all__ = [
     "MultiPoly",
@@ -170,12 +170,6 @@ class MultiPoly:
             total += v
         return total
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def support_mask(self) -> int:
-        return support_mask(self.terms)
-
     def __repr__(self):
         return f"MultiPoly({poly_str(self.terms)})"
 
@@ -191,33 +185,6 @@ def support_mask(terms) -> int:
             if d:
                 mask |= 1 << k
     return mask
-
-
-def integral_primitive(terms):
-    """Rewrite terms as content * primitive-integer-poly.
-
-    Returns (new_terms, content) where new_terms has integer coefficients
-    with gcd 1 and positive coefficient on the lex-largest exponent.
-    Content is a Fraction carrying scale and sign; zero input gives
-    ({}, 0).
-    """
-    if not terms:
-        return {}, Fraction(0)
-    den_lcm = 1
-    for c in terms.values():
-        if isinstance(c, Fraction):
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    ints = {}
-    g = 0
-    for e, c in terms.items():
-        v = int(c * den_lcm) if isinstance(c, Fraction) else c * den_lcm
-        ints[e] = v
-        g = gcd(g, abs(v))
-    lead = max(ints)
-    sign = -1 if ints[lead] < 0 else 1
-    scale = sign * g
-    out = {e: v // scale for e, v in ints.items()}
-    return out, Fraction(scale, den_lcm)
 
 
 def _mono_str(e, coeff):

@@ -21,8 +21,9 @@ class QuantumCartanInverse:
 
     coeff(i, j, m) is 0 for m <= 0, the identity at m = 1, and satisfies
     coeff(i, j, m+1) = sum over k adjacent to j of coeff(i, k, m)
-    minus coeff(i, j, m-1).  The table is a pure function of the diagram;
-    per-thread clones are cheap if ever needed.
+    minus coeff(i, j, m-1).  The table is a pure function of the diagram.
+    A lock guards the growing rows, since library callers may share one
+    table between calculators.
     """
 
     def __init__(self, datum: DynkinDatum):

@@ -48,7 +48,10 @@ class TorusMorphism:
     """Value calculator bound to one frame.
 
     Holds the coefficient table and memo caches; all methods are pure
-    functions of (frame, label), so cloning per thread is safe.
+    functions of (frame, label).  The package starts no threads.  The
+    frame and the table, which library callers may share between
+    calculators, each guard their cache with a lock; the calculator's own
+    memos are plain dicts.
     """
 
     def __init__(self, frame: ARFrame, table: QuantumCartanInverse | None = None):

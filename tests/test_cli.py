@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from krtorus.cli import MAX_MMAX, MAX_WINDOW, main
+from krtorus.cli import MAX_MMAX, MAX_RANK, MAX_WINDOW, main
 from krtorus.field.rational import RootRational
 
 
@@ -237,8 +237,14 @@ def test_anchor_option_shifts_heights(capsys):
         (["mutate", "--type", "A", "--rank", "2", "--window", "100000", "--seq", "1"],
          "window must be at most"),
         (["seed", *SS, "--window", str(MAX_WINDOW + 1)], "window must be at most"),
+        (["ctilde", "--type", "A", "--rank", "30", "1", "1", str(MAX_MMAX)],
+         "rank must be at most"),
+        (["info", "--type", "D", "--rank", str(MAX_RANK + 1)], "rank must be at most"),
+        (["seed", "--type", "A", "--rank", "1000000", "--window", "10"],
+         "rank must be at most"),
     ],
-    ids=["ctilde-1e7", "ctilde-above-bound", "mutate-1e5", "seed-above-bound"],
+    ids=["ctilde-1e7", "ctilde-above-bound", "mutate-1e5", "seed-above-bound",
+         "ctilde-rank-30", "rank-above-bound", "seed-rank-1e6"],
 )
 def test_size_limits_refused_fast(capsys, argv, message):
     start = time.perf_counter()
@@ -252,6 +258,12 @@ def test_size_limits_refused_fast(capsys, argv, message):
 def test_mmax_bound_is_accepted(capsys):
     code, out, _ = run(capsys, ["ctilde", "--type", "A", "--rank", "2", "1", "1", str(MAX_MMAX)])
     assert code == 0 and len(out.splitlines()) == MAX_MMAX
+
+
+@pytest.mark.parametrize("family", ["A", "D"])
+def test_rank_bound_is_accepted(capsys, family):
+    code, out, _ = run(capsys, ["info", "--type", family, "--rank", str(MAX_RANK)])
+    assert code == 0 and f"rank: {MAX_RANK}" in out
 
 
 def test_vertex_off_the_diagram_exit_two(capsys):

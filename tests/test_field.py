@@ -23,10 +23,15 @@ def ctx():
     return build_frame("A", 3).root_context
 
 
-def poly_dicts(n=3, max_terms=4, max_exp=3, max_coeff=5, min_size=0, exp=None):
+def poly_dicts(n=3, max_terms=4, max_exp=3, max_coeff=5, min_size=0, exp=None, coeffs=None):
     exps = st.tuples(*[st.integers(0, max_exp) if exp is None else exp] * n)
-    coeffs = st.integers(-max_coeff, max_coeff).filter(lambda c: c != 0)
+    if coeffs is None:
+        coeffs = st.integers(-max_coeff, max_coeff).filter(lambda c: c != 0)
     return st.dictionaries(exps, coeffs, min_size=min_size, max_size=max_terms)
+
+
+# Coefficients with denominators; some are integral Fractions.
+FRACTIONS = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
 
 
 # -- kernels -------------------------------------------------------------
@@ -89,7 +94,10 @@ def test_kernel_div_linear_inverts_mul(p, form):
         assert got == {}
 
 
-@given(p=poly_dicts(), g=poly_dicts(min_size=1))
+@given(
+    p=poly_dicts() | poly_dicts(coeffs=FRACTIONS),
+    g=poly_dicts(min_size=1) | poly_dicts(min_size=1, coeffs=FRACTIONS),
+)
 @settings(max_examples=60, deadline=None)
 def test_kernel_div_exact_inverts_mul(p, g):
     product = kernel.poly_mul(p, g)
@@ -140,10 +148,13 @@ def test_kernel_round_trips_at_width_edges(p, g):
 
 
 @given(
-    p=poly_dicts(min_size=1, exp=EDGE_EXPONENTS),
-    g=poly_dicts(min_size=1, max_terms=1, exp=EDGE_EXPONENTS),
+    p=poly_dicts(min_size=1, exp=EDGE_EXPONENTS)
+    | poly_dicts(min_size=1, exp=EDGE_EXPONENTS, coeffs=FRACTIONS),
+    g=poly_dicts(min_size=1, max_terms=1, exp=EDGE_EXPONENTS)
+    | poly_dicts(min_size=1, max_terms=1, exp=EDGE_EXPONENTS, coeffs=FRACTIONS),
 )
 @example(p={(14, 0, 0): -1, (3, 0, 0): 3}, g={(4, 0, 0): 1})
+@example(p={(2, 1, 0): Fraction(3, 4), (1, 0, 1): 2}, g={(1, 0, 0): Fraction(-2, 3)})
 @settings(max_examples=80, deadline=None)
 def test_kernel_div_exact_by_monomial(p, g):
     (eg, cg), = g.items()
@@ -289,6 +300,17 @@ def test_kronecker_div_exact_matches_packed(n, mode, seed):
         assert kernel.poly_div_exact(kernel.poly_add(p, m), g) is None
         assert spy.call_count == 2
     assert kernel._packed_div_exact(kernel.poly_add(p, m), g) is None
+    # Adding 1 at p's leading monomial changes only p's leading group by a
+    # power of two.  When g's leading group has two or more terms, its
+    # encoding is no power of two and cannot divide that change, so the
+    # division fails at its first step.
+    top = kernel.poly_add(p, {max(p): 1})
+    assert kernel.poly_div_exact(top, g) is None
+    with mock.patch.object(kernel, "divmod", create=True, wraps=divmod) as steps:
+        assert kernel._kron_div_exact(top, g, dq) is None
+    lead_head = max(e[:n - 3] for e in g)
+    if sum(e[:n - 3] == lead_head for e in g) >= 2:
+        assert steps.call_count == 1
     # A term of another degree makes the dividend inhomogeneous, which
     # the packed path divides (and refuses).
     inhomogeneous = kernel.poly_add(p, {(0,) * n: 1})
