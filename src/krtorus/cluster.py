@@ -118,7 +118,7 @@ def mutate(seed: Seed, v: int) -> Seed:
     prod_out = seed.calc.ctx.one()
     for b, m in outgoing:
         prod_out = prod_out * seed.values[b] ** m
-    new_value = (prod_in + prod_out) / old
+    new_value = seed.calc.ctx.sum_over((prod_in, prod_out), old)
     if new_value.is_zero():
         raise ConsistencyError(f"exchange at vertex {v} produced zero")
 

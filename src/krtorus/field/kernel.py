@@ -24,14 +24,11 @@ scanning for it; a term that cancels stays in the heap and is skipped
 when it comes up.  A product with a lone constant term only scales the
 other operand.
 
-Each step of the division is one integer ``divmod`` of the leading
-remainder coefficient by the divisor's leading coefficient, and a nonzero
-remainder proves that the divisor does not divide.  That rule is exact
-because ``poly_div_exact`` first makes the divisor primitive (int
-coefficients with gcd 1) and clears the dividend's denominators when it
-holds a Fraction: by Gauss's lemma, the quotient of an int polynomial by a
-primitive one, when it exists, has int coefficients.  The quotient is then
-scaled back by the ratio of the two contents.
+Each division step is one integer ``divmod`` by the divisor's leading
+coefficient, and a nonzero remainder proves that the divisor does not
+divide: ``poly_div_exact`` makes the divisor primitive and the dividend
+integral first, and by Gauss's lemma an int polynomial's quotient by a
+primitive one, when it exists, has int coefficients.
 
 Large operands that are homogeneous in at least three variables with int
 coefficients and hold at least a quarter of the monomials of their
@@ -65,7 +62,7 @@ import heapq
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 _MUL_MIN_TERMS = 16
 _MUL_MIN_PAIRS = 10000
@@ -151,28 +148,23 @@ def _packed_mul(a, b):
 def integral_primitive(terms):
     """Rewrite terms as content * primitive-integer-poly.
 
-    Returns (new_terms, content) where new_terms has integer coefficients
-    with gcd 1 and positive coefficient on the lex-largest exponent.
-    Content is a Fraction carrying scale and sign; zero input gives
-    ({}, 0).
+    Returns (new_terms, content): int coefficients with gcd 1 and a
+    positive one on the lex-largest exponent (``terms`` itself when it
+    already is), and a Fraction carrying scale and sign; zero input
+    gives ({}, 0).
     """
     if not terms:
         return {}, Fraction(0)
     den_lcm = 1
-    for c in terms.values():
-        if isinstance(c, Fraction):
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    ints = {}
-    g = 0
-    for e, c in terms.items():
-        v = int(c * den_lcm) if isinstance(c, Fraction) else c * den_lcm
-        ints[e] = v
-        g = gcd(g, abs(v))
-    lead = max(ints)
-    sign = -1 if ints[lead] < 0 else 1
-    scale = sign * g
-    out = {e: v // scale for e, v in ints.items()}
-    return out, Fraction(scale, den_lcm)
+    if Fraction in map(type, terms.values()):
+        den_lcm = lcm(*(c.denominator for c in terms.values()))
+        terms = {e: int(c * den_lcm) for e, c in terms.items()}
+    scale = gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        scale = -scale
+    if scale != 1:
+        terms = {e: c // scale for e, c in terms.items()}
+    return terms, Fraction(scale, den_lcm)
 
 
 def poly_div_exact(p, g):

@@ -4,20 +4,23 @@ A value is  unit * prod(root form ^ exp) * num / den  where the root
 forms are positive-root linear forms of a fixed root system, and num,
 den are primitive integer polynomials carrying whatever does not factor
 into root forms.  A linear form is classified once, on input: it is a
-positive root up to a scalar or it is not.  Other input is normalized by
-dividing out positive-root forms (the forms are irreducible, so the
-extracted multiset is unique).  Which forms to try comes from one integer
-evaluation of the residual modulo a prime on each form's hyperplane: a
-nonzero value proves that the form does not divide, while a zero is only
-a hint, which the exact division ``kernel.poly_div_linear`` certifies.
-No general multivariate gcd is ever needed, and equality is decided by
-subtraction.
+positive root up to a scalar or it is not.  Other input is normalized
+once, by ``RootContext.build``: the residuals are cancelled where one
+divides the other, then positive-root forms are divided out (the forms
+are irreducible, so the extracted multiset is unique and the order of
+the two steps does not matter).  Which forms to try comes from one
+integer evaluation of the residual modulo a prime on each form's
+hyperplane: a nonzero value proves that the form does not divide, while
+a zero is only a hint, which the exact division ``kernel.poly_div_linear``
+certifies.  Sums, and exchange steps (sum) / divisor, are normalized once
+by ``RootContext.sum_over``.  No general multivariate gcd is ever needed,
+and equality is decided by subtraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from random import Random
 
 from ..errors import InvalidInputError
@@ -50,9 +53,9 @@ def form_str(coords) -> str:
     return "+".join(parts) if parts else "0"
 
 
-def _expand(forms, n):
-    """Expanded product of ``coords ^ e`` over the (coords, e) pairs with e > 0."""
-    out = {(0,) * n: 1}
+def _expand(forms, n, scale=1):
+    """``scale`` times the product of ``coords ^ e`` over the (coords, e) pairs with e > 0."""
+    out = {(0,) * n: scale}
     for coords, e in forms:
         if e > 0:
             terms = {tuple(int(j == k) for j in range(n)): c for k, c in enumerate(coords) if c}
@@ -112,16 +115,13 @@ class RootContext:
     # -- value builders -------------------------------------------------
 
     def one(self) -> "RootRational":
-        return RootRational(self, Fraction(1), {}, dict(self._one), dict(self._one))
+        return self.rational(1)
 
     def zero(self) -> "RootRational":
-        return RootRational(self, Fraction(0), {}, dict(self._one), dict(self._one))
+        return self.rational(0)
 
     def rational(self, q) -> "RootRational":
-        q = Fraction(q)
-        if q == 0:
-            return self.zero()
-        return RootRational(self, q, {}, dict(self._one), dict(self._one))
+        return RootRational(self, Fraction(q), {}, dict(self._one), dict(self._one))
 
     def from_root_factors(self, factors, unit=1) -> "RootRational":
         """Value  unit * prod(form ^ exp)  for (coords, exp) pairs.
@@ -161,10 +161,7 @@ class RootContext:
 
     def from_fraction(self, num, den=None) -> "RootRational":
         nt = num.terms if isinstance(num, MultiPoly) else dict(num)
-        if den is None:
-            dt = dict(self._one)
-        else:
-            dt = den.terms if isinstance(den, MultiPoly) else dict(den)
+        dt = self._one if den is None else den.terms if isinstance(den, MultiPoly) else dict(den)
         if not dt:
             raise ZeroDivisionError("zero denominator polynomial")
         check_exponents(nt, self.n)
@@ -216,12 +213,9 @@ class RootContext:
         """Divide out every root form from integer term dict ``terms``.
 
         Updates ``fac`` with ``sign`` * multiplicity per extracted form and
-        returns the residual.  Only the forms that ``_screen`` keeps are
-        tried, each at most its bound times: a nonzero value mod p proves
-        that a form does not divide, and a zero is only a hint, which
-        ``kernel.poly_div_linear`` certifies or refutes.  The bounds stay
-        valid as factors come out, since the quotient's order of vanishing
-        is at most the residual's.
+        returns the residual.  Only the forms ``_screen`` keeps are tried,
+        each at most its bound times; the bounds stay valid as factors come
+        out, since a quotient vanishes to at most the residual's order.
         """
         if not terms:
             return terms
@@ -257,7 +251,15 @@ class RootContext:
         return terms
 
     def build(self, unit, fac, num, den) -> "RootRational":
-        """Normalize raw parts into a canonical RootRational."""
+        """Normalize raw parts into a canonical RootRational.
+
+        The residuals are cancelled before any root form is divided out,
+        so an exchange step screens only its exact quotient; by unique
+        factorization (root forms are irreducible) the order does not
+        change the result.  Extraction can still leave residuals that
+        divide one another, when root factors alone kept them apart, as in
+        a user fraction (a1+a2)*p / (a1*p); a second cancel covers that.
+        """
         if not num:
             return self.zero()
         if not den:
@@ -267,29 +269,59 @@ class RootContext:
         unit = Fraction(unit) * cn / cd
         if unit == 0:
             return self.zero()
+        num, den = self._cancel_residuals(num, den)
         fac = dict(fac)
         num = self._extract(num, fac, +1)
         den = self._extract(den, fac, -1)
         fac = {r: e for r, e in fac.items() if e}
-        num, den = self._cancel_residuals(num, den)
+        if num != self._one and den != self._one:
+            num, den = self._cancel_residuals(num, den)
         return RootRational(self, unit, fac, num, den)
+
+    def sum_over(self, values, divisor=None) -> "RootRational":
+        """(sum of ``values``) / ``divisor``, normalized by one ``build``.
+
+        The summands go over one common numerator and denominator (shared
+        root factors stay factored, the rest expand into cofactors, the
+        units share one denominator) and the divisor's residuals multiply
+        in crosswise.  In an exchange step the quotient is a sum of root
+        products, so the divisor's residual numerator divides exactly.
+        """
+        inv = self.one() if divisor is None else divisor.inverse()
+        values = [v for v in values if not v.is_zero()]
+        if not values:
+            return self.zero()
+        if divisor is None and len(values) == 1:
+            return values[0]
+        roots = set().union(*(v.fac for v in values))
+        shared = {r: min(v.fac.get(r, 0) for v in values) for r in roots}
+        q = lcm(*(v.unit.denominator for v in values))
+        snum, sden = None, self._one
+        for i, v in enumerate(values):
+            # Cofactor exponents are >= 0 by construction, so they expand.
+            exps = ((r, v.fac.get(r, 0) - shared[r]) for r in roots)
+            term = kernel.poly_mul(_expand(exps, self.n, int(v.unit * q)), v.num)
+            for w in values[:i] + values[i + 1:]:
+                if w.den != self._one:
+                    term = kernel.poly_mul(term, w.den)
+            snum = term if snum is None else kernel.poly_add(snum, term)
+            if v.den != self._one:
+                sden = kernel.poly_mul(sden, v.den)
+        for r, e in inv.fac.items():
+            shared[r] = shared.get(r, 0) + e
+        snum = kernel.poly_mul(snum, inv.num)
+        sden = kernel.poly_mul(sden, inv.den)
+        return self.build(inv.unit / q, shared, snum, sden)
 
     def _cancel_residuals(self, num, den):
         """Collapse num/den when one residual exactly divides the other.
 
         Quotients of primitive integer polynomials with positive leading
-        signs stay primitive with positive leading signs, so no content
-        pass is needed afterwards.
-
-        No gcd is taken, so this is canonical only where it needs to be.
-        The engines' values (KR classes, cuspidal values, weight sums,
-        cluster variables) are sums of products of root forms, so their
-        denominator residual is 1 and their normal form is unique: equal
-        values render the same.  A value built from user-supplied
-        fractions (``from_fraction``, value JSON) whose numerator and
-        denominator share a non-root factor keeps that factor on both
-        sides; it still compares equal to its reduced form (equality is
-        decided by subtraction) but may render differently.
+        signs stay primitive with positive leading signs.  No gcd is taken:
+        engine values (sums of root products) have residual den 1 and a
+        unique normal form, but a user fraction whose residuals share a
+        non-root factor keeps it on both sides; it compares equal to its
+        reduced form (by subtraction) but may render differently.
         """
         if num == den:
             return dict(self._one), dict(self._one)
@@ -440,31 +472,7 @@ class RootRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        roots = set(self.fac) | set(other.fac)
-        shared = {}
-        for r in roots:
-            g = min(self.fac.get(r, 0), other.fac.get(r, 0))
-            if g:
-                shared[r] = g
-        # Cofactor exponents are >= 0 by construction, so they expand; a root
-        # only in other.fac may still give self a cofactor, hence the union.
-        n = self.ctx.n
-        cof_a = _expand(((r, self.fac.get(r, 0) - shared.get(r, 0)) for r in roots), n)
-        cof_b = _expand(((r, other.fac.get(r, 0) - shared.get(r, 0)) for r in roots), n)
-        q = (self.unit.denominator * other.unit.denominator) // gcd(
-            self.unit.denominator, other.unit.denominator
-        )
-        ca = {(0,) * self.ctx.n: int(self.unit * q)}
-        cb = {(0,) * self.ctx.n: int(other.unit * q)}
-        term_a = kernel.poly_mul(kernel.poly_mul(ca, cof_a), kernel.poly_mul(self.num, other.den))
-        term_b = kernel.poly_mul(kernel.poly_mul(cb, cof_b), kernel.poly_mul(other.num, self.den))
-        snum = kernel.poly_add(term_a, term_b)
-        sden = kernel.poly_mul(self.den, other.den)
-        return self.ctx.build(Fraction(1, q), shared, snum, sden)
+        return self.ctx.sum_over((self, other))
 
     __radd__ = __add__
 

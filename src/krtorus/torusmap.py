@@ -153,7 +153,7 @@ class TorusMorphism:
                     nbrs = nbrs * memo[d]
                 if divisor.is_zero():
                     raise ConsistencyError(f"zero divisor in T-system at {key}")
-                out = (grow * shrink + nbrs) / divisor
+                out = self.ctx.sum_over((grow * shrink, nbrs), divisor)
             memo[key] = out
             stack.pop()
         return memo.get(target, one)

@@ -392,6 +392,20 @@ def test_integral_primitive_sign_and_content():
     assert content == Fraction(-2, 3)
 
 
+@given(terms=poly_dicts(min_size=1, max_coeff=30))
+@settings(max_examples=80, deadline=None)
+def test_integral_primitive_same_on_int_and_integral_fraction_coeffs(terms):
+    as_fractions = {e: Fraction(c, 1) for e, c in terms.items()}
+    got_int, content_int = integral_primitive(terms)
+    got_frac, content_frac = integral_primitive(as_fractions)
+    assert got_int == got_frac and content_int == content_frac
+    assert all(type(c) is int for c in got_int.values())
+    assert all(type(c) is int for c in got_frac.values())
+    assert type(content_int) is Fraction and type(content_frac) is Fraction
+    scaled = {e: c * content_int for e, c in got_int.items()}
+    assert scaled == terms
+
+
 # -- root rationals -------------------------------------------------------
 
 
@@ -535,6 +549,131 @@ def test_no_trial_division_fails(monkeypatch):
     value = TorusMorphism(build_frame("E", 6)).kr_value(3, -8, 1)
     assert len(value.num) > 1000
     assert calls["all"] > 0 and calls["failed"] == 0
+
+
+def test_exchange_steps_screen_the_quotient(monkeypatch):
+    # An exchange step (sum of root products) / divisor cancels the
+    # divisor's residual before screening for root factors, so no screen
+    # sees more terms than the largest residual of a value that is kept.
+    from krtorus.cluster import initial_seed, mutate
+
+    screened = []
+    screen = RootContext._screen
+
+    def counted_screen(self, terms, tmask):
+        screened.append(len(terms))
+        return screen(self, terms, tmask)
+
+    failed = []
+
+    def failing(name, fn):
+        def wrapped(*args):
+            q = fn(*args)
+            if q is None:
+                failed.append(name)
+            return q
+        return wrapped
+
+    calcs = []
+    kr_value = TorusMorphism.kr_value
+
+    def recorded_kr_value(self, *label):
+        calcs.append(self)
+        return kr_value(self, *label)
+
+    monkeypatch.setattr(RootContext, "_screen", counted_screen)
+    monkeypatch.setattr(TorusMorphism, "kr_value", recorded_kr_value)
+    for name in ("poly_div_linear", "poly_div_exact"):
+        monkeypatch.setattr(kernel, name, failing(name, getattr(kernel, name)))
+
+    e6 = TorusMorphism(build_frame("E", 6))
+    assert len(e6.kr_value(3, -8, 1).num) > 1000
+    assert run_suite("tsystem", build_frame("D", 8)).ok
+    seeds = [initial_seed(e6, 72, specialize_frozen=True)]
+    walk = (9, 3, 5, 11)
+    for v in walk + walk[::-1]:
+        seeds.append(mutate(seeds[-1], v))
+    assert all(seeds[-1].values[v] == seeds[0].values[v] for v in walk)
+
+    kept = [v for calc in calcs for v in calc._kr_cache.values()]
+    kept += [v for seed in seeds for v in seed.values.values()]
+    largest = max(max(len(v.num), len(v.den)) for v in kept)
+    assert screened and max(screened) <= largest
+    assert failed == []
+
+
+SUM_KINDS = [("A", 3), ("D", 4), ("E", 6)]
+UNITS = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+
+
+def small_poly(ctx, data):
+    """A nonzero primitive polynomial of at most three terms."""
+    terms = data.draw(poly_dicts(ctx.n, max_terms=3, max_exp=1, max_coeff=3, min_size=1))
+    return MultiPoly(ctx.n, integral_primitive(terms)[0])
+
+
+def root_forms(ctx, data, min_exp, max_exp):
+    return data.draw(
+        st.dictionaries(st.sampled_from(ctx.roots), st.integers(min_exp, max_exp), max_size=3)
+    )
+
+
+def expanded(ctx, forms):
+    out = MultiPoly.one(ctx.n)
+    for r, e in forms.items():
+        out = out * MultiPoly.linear_form(r) ** e
+    return out
+
+
+def summand(ctx, data, common):
+    """unit * root factors * residual * common, sometimes as a user fraction
+    whose numerator and denominator share root forms and a residual."""
+    unit = data.draw(UNITS)
+    residual = small_poly(ctx, data)
+    if data.draw(st.booleans()):
+        base = ctx.from_root_factors(root_forms(ctx, data, -2, 2).items(), unit=unit)
+        return base * ctx.from_fraction(residual * common)
+    top = expanded(ctx, root_forms(ctx, data, 0, 2))
+    bottom = expanded(ctx, root_forms(ctx, data, 0, 2))
+    extra = MultiPoly.linear_form(data.draw(st.sampled_from(ctx.roots))) * small_poly(ctx, data)
+    num = top * extra * residual * common * unit
+    return ctx.from_fraction(num, bottom * extra)
+
+
+@given(kind=st.sampled_from(SUM_KINDS), count=st.integers(1, 4), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_sum_over_matches_pairwise_arithmetic(kind, count, data):
+    # Every summand and every result reduces to a residual denominator of
+    # 1, where the normal form is unique; a sum of user fractions sharing a
+    # non-root factor may keep that factor on both sides, by a path that
+    # depends on the order of the additions.
+    ctx = screen_context(*kind)
+    # A residual shared by every summand and the divisor's numerator makes
+    # the divisor divide the sum, as in an exchange step.
+    common = small_poly(ctx, data) if data.draw(st.booleans()) else MultiPoly.one(ctx.n)
+    values = [summand(ctx, data, common) for _ in range(count)]
+    divisor = None
+    if data.draw(st.booleans()):
+        # a1 - a2 is no root form, so the divisor keeps a residual den.
+        extra = small_poly(ctx, data)
+        den = small_poly(ctx, data) * extra * MultiPoly.linear_form((1, -1) + (0,) * (ctx.n - 2))
+        divisor = ctx.from_root_factors(root_forms(ctx, data, -2, 2).items(), unit=data.draw(UNITS))
+        divisor = divisor * ctx.from_fraction(common * extra, den)
+    got = ctx.sum_over(values, divisor)
+    want = values[0]
+    for v in values[1:]:
+        want = want + v
+    if divisor is not None:
+        want = want / divisor
+    assert (got.unit, got.fac, got.num, got.den) == (want.unit, want.fac, want.num, want.den)
+    point = [Fraction(7 ** k + 3 * k, 11 + k) for k in range(ctx.n)]
+    try:
+        expect = sum(v.evaluate(point) for v in values)
+        if divisor is not None:
+            expect /= divisor.evaluate(point)
+    except ZeroDivisionError:
+        return
+    assert got.evaluate(point) == expect
 
 
 def test_multiplicity_examples(ctx):
