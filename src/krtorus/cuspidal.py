@@ -72,7 +72,7 @@ def weight_sum(frame: ARFrame, entries) -> RootRational:
     if not entries:
         raise InvalidInputError("weight data is empty")
     wt0 = _word_weight(frame.datum, entries[0][0])
-    terms = []
+    values = []
     for word, dim in entries:
         if dim < 1:
             raise InvalidInputError("dimensions must be positive")
@@ -80,8 +80,8 @@ def weight_sum(frame: ARFrame, entries) -> RootRational:
             raise InvalidInputError(
                 f"word {list(word)} has a different weight than the first entry"
             )
-        terms.append(dim * _prefix_form_value(frame, word))
-    return frame.root_context.sum_over(terms)
+        values.append(dim * _prefix_form_value(frame, word))
+    return frame.root_context.sum_over(values)
 
 
 # -- hook product for dominant minuscule words ---------------------------------

@@ -606,16 +606,27 @@ SUM_KINDS = [("A", 3), ("D", 4), ("E", 6)]
 UNITS = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
 
 
+@lru_cache(maxsize=None)
+def squarefree_polys(n):
+    """Polynomials of at most three squarefree terms (strategies built once)."""
+    monomials = [tuple((k >> j) & 1 for j in range(n)) for k in range(2**n)]
+    return st.dictionaries(
+        st.sampled_from(monomials), st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=1, max_size=3
+    )
+
+
+@lru_cache(maxsize=None)
+def root_multisets(roots, min_exp, max_exp):
+    return st.dictionaries(st.sampled_from(roots), st.integers(min_exp, max_exp), max_size=3)
+
+
 def small_poly(ctx, data):
-    """A nonzero primitive polynomial of at most three terms."""
-    terms = data.draw(poly_dicts(ctx.n, max_terms=3, max_exp=1, max_coeff=3, min_size=1))
-    return MultiPoly(ctx.n, integral_primitive(terms)[0])
+    """A nonzero primitive polynomial of at most three squarefree terms."""
+    return MultiPoly(ctx.n, integral_primitive(data.draw(squarefree_polys(ctx.n)))[0])
 
 
 def root_forms(ctx, data, min_exp, max_exp):
-    return data.draw(
-        st.dictionaries(st.sampled_from(ctx.roots), st.integers(min_exp, max_exp), max_size=3)
-    )
+    return data.draw(root_multisets(ctx.roots, min_exp, max_exp))
 
 
 def expanded(ctx, forms):
@@ -641,7 +652,7 @@ def summand(ctx, data, common):
 
 
 @given(kind=st.sampled_from(SUM_KINDS), count=st.integers(1, 4), data=st.data())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_sum_over_matches_pairwise_arithmetic(kind, count, data):
     # Every summand and every result reduces to a residual denominator of
     # 1, where the normal form is unique; a sum of user fractions sharing a
@@ -666,7 +677,7 @@ def test_sum_over_matches_pairwise_arithmetic(kind, count, data):
     if divisor is not None:
         want = want / divisor
     assert (got.unit, got.fac, got.num, got.den) == (want.unit, want.fac, want.num, want.den)
-    point = [Fraction(7 ** k + 3 * k, 11 + k) for k in range(ctx.n)]
+    point = [2, 3, 5, 7, 11, 13][:ctx.n]  # no root form vanishes here
     try:
         expect = sum(v.evaluate(point) for v in values)
         if divisor is not None:
