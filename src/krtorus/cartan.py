@@ -287,15 +287,8 @@ def finite_t_minus(word, t: int) -> int:
     return 0
 
 
-def _check_word_letters(datum, word):
-    for letter in word:
-        if not 1 <= letter <= datum.rank:
-            raise InvalidInputError(f"letter {letter} outside 1..{datum.rank}")
-
-
 def is_fully_commutative(datum: DynkinDatum, word) -> bool:
     """Between consecutive occurrences of a letter, at least two neighbours."""
-    _check_word_letters(datum, word)
     inversion_roots(datum, word)
     for t in range(1, len(word) + 1):
         tp = finite_t_plus(word, t)
@@ -314,7 +307,6 @@ def is_dominant_minuscule(datum: DynkinDatum, word) -> bool:
     This is Stembridge's reduced-word criterion for dominant minuscule
     elements, specialized to the simply-laced case.
     """
-    _check_word_letters(datum, word)
     inversion_roots(datum, word)
     for t in range(1, len(word) + 1):
         tp = finite_t_plus(word, t)

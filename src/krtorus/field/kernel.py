@@ -53,9 +53,9 @@ The encoding is injective on polynomials whose coefficients satisfy
 slots are sized from its inputs: no coefficient exceeds
 min(max|a| * sum|b|, sum|a| * max|b|).  A quotient is certified by the
 same bound with max|q| and sum|q|, plus non-negative decoded exponents
-and tail slots of q*g below the stride; when that check fails the slots
-are widened, and a quotient is never returned uncertified (see
-``_kron_div_at``).
+and tail slots of q*g below the stride; a quotient is never returned
+uncertified: when that check fails, the division runs again on the
+packed path, on the polynomials themselves (see ``_kron_div_exact``).
 """
 
 import heapq
@@ -369,66 +369,52 @@ def _kron_div_exact(p, g, degree):
     """Exact division of homogeneous int polynomials, ``g`` primitive, the
     quotient of total degree ``degree``: None or the certified quotient.
 
-    A slot width that cannot certify the quotient is widened once, to
-    what the uncertified quotient asks for or else to twice the width;
-    a division that still cannot be certified goes to the packed path.
+    The encodings, with slots sized from the coefficients of p and g, go
+    through one packed long division.  If p = q*g, q has int coefficients
+    (Gauss, as g is primitive), so enc(p) = enc(q)*enc(g): every step of
+    the division, one ``divmod`` of the leading remainder group by the
+    divisor's leading group, is exact, and no quotient key is negative or
+    above p's degree in a head variable, so an inexact step or such a key
+    proves failure.  These ``None`` proofs hold at every slot width, as
+    encoding is a ring homomorphism.  A quotient that comes out of exact
+    steps satisfies enc(p) = enc(q)*enc(g) group by group; it equals p's
+    true quotient when the encoding is injective on q*g and on p: every
+    tail exponent of q is non-negative, the tail slots of q*g stay below
+    the stride (those of p do by the choice of stride), and each
+    coefficient of q*g, at most min(max|q| * sum|g|, sum|q| * max|g|),
+    fits a signed slot, as each coefficient of p and g does.  A quotient
+    that fails this certificate is never returned: the division goes to
+    the packed path on p and g themselves.
     """
     if degree < 0:
         return None
-    top = max(max(map(abs, p.values())), max(map(abs, g.values())))
-    nb = (top.bit_length() + 4) // 8 + 1
-    for _ in range(2):
-        q = _kron_div_at(p, g, degree, nb)
-        if not isinstance(q, int):
-            return q
-        nb = q
-    return _packed_div_exact(p, g)
-
-
-def _kron_div_at(p, g, degree, nb):
-    """The packed long division of the encodings, with slots of nb bytes.
-
-    Returns None when the division provably fails, the quotient when the
-    encoding is proven injective on q*g, and otherwise a wider slot size
-    in bytes to try.  If p = q*g, q has int coefficients (Gauss, as g is
-    primitive), so enc(p) = enc(q)*enc(g): every step of the division,
-    one ``divmod`` of the leading remainder group by the divisor's
-    leading group, is exact, and no quotient key is negative or above
-    p's degree in a head variable, so an inexact step or such a key
-    proves failure.  A quotient that comes out of exact steps satisfies
-    enc(p) = enc(q)*enc(g) group by group; it equals p's true quotient
-    when the encoding is injective on q*g and on p: every tail exponent
-    of q is non-negative, the tail slots of q*g stay below the stride
-    (those of p do by the choice of stride), and each coefficient of q*g,
-    at most min(max|q| * sum|g|, sum|q| * max|g|), fits a signed slot, as
-    each coefficient of p and g must on entry.  The ``None`` proofs need
-    no such check: encoding is a ring homomorphism, so p = q*g implies
-    enc(p) = enc(q)*enc(g) at every slot width.
-    """
     m = len(next(iter(p))) - 3
     stride = max(e[m + 1] for e in p) + 1
     tail_g = max(e[m + 1] for e in g)
     if tail_g >= stride:
         return None  # q*g would exceed p's degree in variable n-1
+    top = max(max(map(abs, p.values())), max(map(abs, g.values())))
+    nb = (top.bit_length() + 4) // 8 + 1
     q = _packed_div_exact(_groups(p, nb, stride), _groups(g, nb, stride))
     if q is None:
         return None
     terms = _ungroup(q, nb, stride, degree)
-    if any(e[-1] < 0 for e in terms) or (
-        max(e[m + 1] for e in terms) + tail_g >= stride
-    ):
-        return 2 * nb
-    (top_q, sum_q), (top_g, sum_g) = _norms(terms), _norms(g)
-    need = min(top_q * sum_g, sum_q * top_g).bit_length() // 8 + 1
-    return terms if need <= nb else need
+    if all(e[-1] >= 0 for e in terms) and max(e[m + 1] for e in terms) + tail_g < stride:
+        (top_q, sum_q), (top_g, sum_g) = _norms(terms), _norms(g)
+        if min(top_q * sum_g, sum_q * top_g).bit_length() // 8 + 1 <= nb:
+            return terms
+    return _packed_div_exact(p, g)
 
 
 def poly_div_linear(p, form, pivot):
-    """Exact division of ``p`` by the linear form ``form`` (no constant term).
+    """Exact division of int polynomial ``p`` by the primitive linear form
+    ``form`` (no constant term).
 
     ``pivot`` is an index with form[pivot] != 0.  Returns the quotient term
     dict, or None when the division leaves a remainder.  Works by eliminating
-    the pivot variable degree by degree, from the top down.
+    the pivot variable degree by degree, from the top down.  By Gauss's
+    lemma a quotient, when it exists, has int coefficients, so each step
+    divides by form[pivot] exactly and a remainder proves failure.
     """
     cp = form[pivot]
     rest = [(i, c) for i, c in enumerate(form) if c and i != pivot]
@@ -443,9 +429,9 @@ def poly_div_linear(p, form, pivot):
         for e in level:
             coeff = r.pop(e)
             if cp != 1:
-                coeff = Fraction(coeff, cp) if isinstance(coeff, int) else coeff / cp
-                if coeff.denominator == 1:
-                    coeff = int(coeff)
+                coeff, rem = divmod(coeff, cp)
+                if rem:
+                    return None
             qe = e[:pivot] + (d - 1,) + e[pivot + 1 :]
             q[qe] = coeff
             for i, ci in rest:

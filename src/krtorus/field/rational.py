@@ -181,9 +181,8 @@ class RootContext:
         multiplicity is at most the order of vanishing there.  A nonzero
         value proves that the form does not divide; a zero is only a hint.
         """
+        # A form can divide only if the residual involves all its variables.
         roots = [r for r in self.roots if not self._mask[r] & ~tmask]
-        if not roots:
-            return []
         pivots = {self._pivot[r] for r in roots}
         slices = {j: {} for j in pivots}
         point = self._point
@@ -210,44 +209,30 @@ class RootContext:
         return out
 
     def _extract(self, terms, fac, sign):
-        """Divide out every root form from integer term dict ``terms``.
+        """Divide out every root form from primitive int term dict ``terms``.
 
         Updates ``fac`` with ``sign`` * multiplicity per extracted form and
-        returns the residual.  Only the forms ``_screen`` keeps are tried,
-        each at most its bound times; the bounds stay valid as factors come
-        out, since a quotient vanishes to at most the residual's order.
+        returns the residual.  Each form ``_screen`` keeps is tried at most
+        its bound times, stopping at the first failed division, and every
+        factor is certified by that exact division.  The bound is never
+        below the multiplicity: if r^m divides P, then P on the screen's
+        line vanishes to order at least m where the line meets r = 0, also
+        mod p; dividing out other forms leaves r's multiplicity as it is.
+        Simple roots come first in ``self.roots``, so a monomial factors
+        through its bounds (its order of vanishing at meeting point 0 is
+        the exponent) before any other form is tried.
         """
-        if not terms:
-            return terms
-        zero_exp = (0,) * self.n
-        # A lone monomial factors directly into simple-root powers.
-        if len(terms) == 1:
-            (e, c), = terms.items()
-            if e != zero_exp:
-                for k, d in enumerate(e):
-                    if d:
-                        r = tuple(1 if j == k else 0 for j in range(self.n))
-                        fac[r] = fac.get(r, 0) + sign * d
-                return {zero_exp: c}
-            return terms
         # Root forms have no constant term, so neither has any multiple.
-        if zero_exp in terms:
+        if (0,) * self.n in terms:
             return terms
-        # A form can divide only if the residual involves all its variables.
-        tmask = support_mask(terms)
-        for root, bound in self._screen(terms, tmask):
-            mask = self._mask[root]
+        for root, bound in self._screen(terms, support_mask(terms)):
             pivot = self._pivot[root]
-            while bound and not mask & ~tmask:
+            for _ in range(bound):
                 q = kernel.poly_div_linear(terms, root, pivot)
                 if q is None:
                     break
-                bound -= 1
                 fac[root] = fac.get(root, 0) + sign
                 terms = q
-                if zero_exp in terms or len(terms) == 1:
-                    return self._extract(terms, fac, sign)
-                tmask = support_mask(terms)
         return terms
 
     def build(self, unit, fac, num, den) -> "RootRational":
@@ -283,8 +268,9 @@ class RootContext:
 
         The summands go over one common numerator and denominator (shared
         root factors stay factored, the rest expand into cofactors, the
-        units share one denominator) and the divisor's residuals multiply
-        in crosswise.  In an exchange step the quotient is a sum of root
+        units share one denominator, and each distinct denominator residual
+        is multiplied in once) and the divisor's residuals multiply in
+        crosswise.  In an exchange step the quotient is a sum of root
         products, so the divisor's residual numerator divides exactly.
         """
         inv = self.one() if divisor is None else divisor.inverse()
@@ -296,17 +282,21 @@ class RootContext:
         roots = set().union(*(v.fac for v in values))
         shared = {r: min(v.fac.get(r, 0) for v in values) for r in roots}
         q = lcm(*(v.unit.denominator for v in values))
+        dens = []
+        for v in values:
+            if v.den != self._one and v.den not in dens:
+                dens.append(v.den)
         snum, sden = None, self._one
-        for i, v in enumerate(values):
+        for v in values:
             # Cofactor exponents are >= 0 by construction, so they expand.
             exps = ((r, v.fac.get(r, 0) - shared[r]) for r in roots)
             term = kernel.poly_mul(_expand(exps, self.n, int(v.unit * q)), v.num)
-            for w in values[:i] + values[i + 1:]:
-                if w.den != self._one:
-                    term = kernel.poly_mul(term, w.den)
+            for d in dens:
+                if d != v.den:
+                    term = kernel.poly_mul(term, d)
             snum = term if snum is None else kernel.poly_add(snum, term)
-            if v.den != self._one:
-                sden = kernel.poly_mul(sden, v.den)
+        for d in dens:
+            sden = kernel.poly_mul(sden, d)
         for r, e in inv.fac.items():
             shared[r] = shared.get(r, 0) + e
         snum = kernel.poly_mul(snum, inv.num)

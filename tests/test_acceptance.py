@@ -6,7 +6,6 @@ A PASS line with the timing is printed per criterion (run with -s to see
 them all).
 """
 
-import os
 import random
 import time
 from contextlib import contextmanager
@@ -331,12 +330,8 @@ def test_e6_generators_cross_check():
 
 
 @pytest.mark.slow
-@pytest.mark.skipif(
-    not os.environ.get("KRTORUS_E78"),
-    reason="full E7/E8 sweeps are opt-in (set KRTORUS_E78=1)",
-)
 @pytest.mark.parametrize("rank", [7, 8])
-def test_optional_e7_e8_property_sweep(rank):
+def test_e7_e8_property_sweep(rank):
     frame = build_frame("E", rank)
     report = check_value_properties(TorusMorphism(frame), 2 * frame.N)
     assert report.ok, report.violations

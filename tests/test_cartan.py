@@ -377,6 +377,12 @@ def test_dominant_minuscule_examples():
         is_dominant_minuscule(datum, (2, 2))
 
 
+@pytest.mark.parametrize("predicate", [is_dominant_minuscule, is_fully_commutative])
+def test_word_predicates_reject_letters_off_the_diagram(predicate):
+    with pytest.raises(InvalidInputError, match="not a vertex 1..3"):
+        predicate(DynkinDatum("A", 3), (1, 5))
+
+
 def test_dominant_minuscule_fork_words():
     # concatenated segment words (q..n-2,n) + (p..n-1) are dominant minuscule
     for n in (4, 5, 6):

@@ -49,6 +49,13 @@ def test_kernel_div_linear_exact_and_failing():
     q = kernel.poly_div_linear(p, form, 1)
     assert q == {(0, 0, 2): 3, (1, 1, 1): -2}
     assert kernel.poly_div_linear({(1, 0, 0): 1}, form, 1) is None
+    # Pivot coefficient 2: the first step, 1 / 2, is already inexact.
+    assert kernel.poly_div_linear({(0, 0, 1): 1}, (0, 1, 2), 2) is None
+    # A product plus a monomial, 2z * (y + 2z) + x: each step is exact,
+    # and x is left over.
+    p = kernel.poly_mul({(0, 0, 1): 2}, {(0, 1, 0): 1, (0, 0, 1): 2})
+    p = kernel.poly_add(p, {(1, 0, 0): 1})
+    assert kernel.poly_div_linear(p, (0, 1, 2), 2) is None
 
 
 def evaluate_terms(terms, point):
@@ -77,7 +84,9 @@ def test_kernel_mul_add_commute_with_evaluation(a, b, point):
     assert all(kernel.poly_mul(a, b).values())
 
 
-FORMS3 = st.sampled_from([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 1), (1, 1, 1)])
+FORMS3 = st.sampled_from(
+    [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 1, 1), (1, 1, 1), (1, 2, 0), (0, 1, 2)]
+)
 
 
 @given(p=poly_dicts(), form=FORMS3)
@@ -323,7 +332,7 @@ def telescoping_division(K, r):
     +1 or -1 and q's up to K: q = Q(x, z) * R(w, y), where Q's
     coefficients are the partial sums 1, 2, .., K, .., 2, 1 of K ones
     followed by K minus ones, and R = sum w^i y^(r-i).  Far from dense,
-    so poly_div_exact divides it on the packed path; the tests below call
+    so poly_div_exact divides it on the packed path; the test below calls
     the big-integer division directly."""
     Q = {(2 * K - 2 - i, i): min(i + 1, 2 * K - 1 - i) for i in range(2 * K - 1)}
     R = [(i, r - i) for i in range(r + 1)]
@@ -333,24 +342,23 @@ def telescoping_division(K, r):
 
 
 def test_kronecker_div_exact_certifies_before_returning():
-    # At one-byte slots q's coefficients up to 200 cannot be read back,
-    # though every integer division in the encoding is exact.  The
-    # uncertified quotient must not be returned; a wider slot must be
-    # asked for instead, at which q is certified.
-    p, g, q = telescoping_division(200, 4)
-    degree = sum(next(iter(q)))
-    assert set(p.values()) == {1, -1}
-    assert kernel._kron_div_at(p, g, degree, 1) > 1
-    with mock.patch.object(kernel, "_kron_div_at", wraps=kernel._kron_div_at) as spy:
-        assert kernel._kron_div_exact(p, g, degree) == q
-    assert [c.args[3] for c in spy.call_args_list] == [1, 2]
-
-
-def test_kronecker_div_exact_hands_over_to_packed_path():
-    p, g, q = telescoping_division(150, 4)
-    with mock.patch.object(kernel, "_kron_div_at", side_effect=lambda p, g, d, nb: nb + 1) as spy:
-        assert kernel._kron_div_exact(p, g, sum(next(iter(q)))) == q
-    assert spy.call_count == 2
+    # p's coefficients are all +1 or -1, so the slots are one byte, and
+    # q's coefficients up to 200 cannot be read back from them, though
+    # every integer division in the encoding is exact.  The uncertified
+    # quotient must not be returned: the division goes to the packed path
+    # on p and g.  Up to 50, q is certified at one byte and returned.
+    for K, calls in ((200, 2), (50, 1)):
+        p, g, q = telescoping_division(K, 4)
+        assert set(p.values()) == {1, -1}
+        packed = kernel._packed_div_exact
+        with mock.patch.object(kernel, "_packed_div_exact", wraps=packed) as spy:
+            assert kernel._kron_div_exact(p, g, sum(next(iter(q)))) == q
+        assert spy.call_count == calls
+        stride = max(e[2] for e in p) + 1
+        encoded = (kernel._groups(p, 1, stride), kernel._groups(g, 1, stride))
+        assert spy.call_args_list[0].args == encoded
+        if K == 200:
+            assert spy.call_args_list[1].args == (p, g)
 
 
 def test_sparse_operands_stay_on_the_packed_path():
@@ -685,6 +693,31 @@ def test_sum_over_matches_pairwise_arithmetic(kind, count, data):
     except ZeroDivisionError:
         return
     assert got.evaluate(point) == expect
+
+
+def test_sum_over_multiplies_each_denominator_in_once(ctx):
+    # Summands over one non-root residual L = a1 - a2 add over L, not over
+    # a power of L: the sum is the fraction of the summed numerators.
+    def form(*coords):
+        return MultiPoly.linear_form(coords)
+
+    L = form(1, -1, 0)
+    p, q, r = form(1, 2, 1), form(0, 1, 2), form(1, 0, 1)
+    cases = [
+        [p, q],
+        [p, q * L - p, r],
+    ]
+    for nums in cases:
+        total = nums[0]
+        for x in nums[1:]:
+            total = total + x
+        got = ctx.sum_over([ctx.from_fraction(x, L) for x in nums])
+        want = ctx.from_fraction(total, L)
+        assert (got.unit, got.fac, got.num, got.den) == (
+            want.unit, want.fac, want.num, want.den
+        )
+    pair = ctx.from_fraction(p, L) + ctx.from_fraction(q, L)
+    assert str(pair) == "(a1 + 3*a2 + 3*a3)/(a1 - a2)"
 
 
 def test_multiplicity_examples(ctx):
