@@ -341,24 +341,36 @@ def telescoping_division(K, r):
     return tuple_product(q, g), g, q
 
 
+def kronecker_packed_calls(K):
+    """Divide telescoping_division(K, 4) with _kron_div_exact, spying on
+    _packed_div_exact; its first call divides the one-byte encodings."""
+    p, g, q = telescoping_division(K, 4)
+    assert set(p.values()) == {1, -1}
+    packed = kernel._packed_div_exact
+    with mock.patch.object(kernel, "_packed_div_exact", wraps=packed) as spy:
+        assert kernel._kron_div_exact(p, g, sum(next(iter(q)))) == q
+    stride = max(e[2] for e in p) + 1
+    encoded = (kernel._groups(p, 1, stride), kernel._groups(g, 1, stride))
+    assert spy.call_args_list[0].args == encoded
+    return p, g, [c.args for c in spy.call_args_list]
+
+
 def test_kronecker_div_exact_certifies_before_returning():
     # p's coefficients are all +1 or -1, so the slots are one byte, and
     # q's coefficients up to 200 cannot be read back from them, though
     # every integer division in the encoding is exact.  The uncertified
-    # quotient must not be returned: the division goes to the packed path
-    # on p and g.  Up to 50, q is certified at one byte and returned.
-    for K, calls in ((200, 2), (50, 1)):
-        p, g, q = telescoping_division(K, 4)
-        assert set(p.values()) == {1, -1}
-        packed = kernel._packed_div_exact
-        with mock.patch.object(kernel, "_packed_div_exact", wraps=packed) as spy:
-            assert kernel._kron_div_exact(p, g, sum(next(iter(q)))) == q
-        assert spy.call_count == calls
-        stride = max(e[2] for e in p) + 1
-        encoded = (kernel._groups(p, 1, stride), kernel._groups(g, 1, stride))
-        assert spy.call_args_list[0].args == encoded
-        if K == 200:
-            assert spy.call_args_list[1].args == (p, g)
+    # quotient must not be returned: a second division follows.  Up to
+    # 50, q is certified at one byte and returned.
+    assert len(kronecker_packed_calls(200)[2]) == 2
+    assert len(kronecker_packed_calls(50)[2]) == 1
+
+
+def test_kronecker_div_exact_hands_over_to_packed_path():
+    # A quotient that fails its certificate is divided again on the
+    # packed path, on p and g themselves.
+    for K in (150, 200):
+        p, g, calls = kronecker_packed_calls(K)
+        assert calls[1:] == [(p, g)]
 
 
 def test_sparse_operands_stay_on_the_packed_path():
