@@ -5,7 +5,9 @@ arrows t+ -> t between consecutive occurrences of a letter, oblique
 arrows k -> l between interleaved occurrences of adjacent letters, and
 values given by the torus morphism on the initial cluster variables.
 Positions whose next occurrence lies beyond the window are frozen; the
-quotient seed specializes their values to 1.
+quotient seed specializes their values to 1.  A quiver keeps a map of
+in-arrows and one of out-arrows per vertex, so one mutation reads and
+rewires only the maps of the mutated vertex and its neighbours.
 """
 
 from __future__ import annotations
@@ -19,22 +21,82 @@ from .torusmap import TorusMorphism
 __all__ = ["Quiver", "Seed", "initial_seed", "mutate", "mutate_sequence"]
 
 
-@dataclass(frozen=True)
-class Quiver:
-    """Arrow multiset on the window vertices with a frozen subset."""
+def _arrow_tuple(outs):
+    """The sorted ``((source, target, multiplicity), ...)`` tuple of out-maps."""
+    return tuple(sorted((a, b, m) for a, out in outs.items() for b, m in out.items()))
 
-    vertices: tuple
-    arrows: tuple  # ((source, target, multiplicity), ...)
-    frozen: frozenset
+
+class Quiver:
+    """Arrow multiset on the window vertices with a frozen subset.
+
+    Immutable after construction.  Each vertex has a map of in-arrows
+    {source: multiplicity} and one of out-arrows {target: multiplicity};
+    ``mutated`` reads and copies only the maps of the mutated vertex and
+    its neighbours, and every other vertex shares its maps with the
+    parent quiver.  ``arrows`` is the sorted ``((source, target,
+    multiplicity), ...)`` tuple, built on first read and then kept.
+    Equality and hashing go by (vertices, arrows, frozen).
+    """
+
+    __slots__ = ("vertices", "frozen", "_in", "_out", "_arrows")
+
+    def __init__(self, vertices, arrows, frozen):
+        self.vertices = vertices
+        self.frozen = frozen
+        self._arrows = arrows
+        self._in = {v: {} for v in vertices}
+        self._out = {v: {} for v in vertices}
+        for a, b, m in arrows:
+            self._out.setdefault(a, {})[b] = m
+            self._in.setdefault(b, {})[a] = m
+
+    @property
+    def arrows(self) -> tuple:
+        if self._arrows is None:
+            self._arrows = _arrow_tuple(self._out)
+        return self._arrows
 
     def arrow_counter(self) -> Counter:
         return Counter({(a, b): m for a, b, m in self.arrows})
 
     def arrows_in(self, v: int):
-        return [(a, m) for a, b, m in self.arrows if b == v]
+        return sorted(self._in.get(v, {}).items())
 
     def arrows_out(self, v: int):
-        return [(b, m) for a, b, m in self.arrows if a == v]
+        return sorted(self._out.get(v, {}).items())
+
+    def mutated(self, v: int) -> "Quiver":
+        """The quiver mutated at v: arrows at v reverse, and each path
+        a -> v -> b adds ma * mb arrows a -> b, less any b -> a.
+
+        The quiver has no 2-cycles, so the only ones this can create are
+        a -> b against an existing b -> a, and they cancel here.
+        """
+        incoming, outgoing = self._in[v], self._out[v]
+        ins, outs = dict(self._in), dict(self._out)
+        for u in (*incoming, *outgoing):
+            ins[u], outs[u] = dict(ins[u]), dict(outs[u])
+        ins[v], outs[v] = dict(outgoing), dict(incoming)
+        for a, ma in incoming.items():
+            del outs[a][v]
+            ins[a][v] = ma
+        for b, mb in outgoing.items():
+            del ins[b][v]
+            outs[b][v] = mb
+        for a, ma in incoming.items():
+            for b, mb in outgoing.items():
+                back = ins[a].pop(b, 0)
+                if back:
+                    del outs[b][a]
+                m = ma * mb - back
+                if m > 0:
+                    outs[a][b] = ins[b][a] = outs[a].get(b, 0) + m
+                elif m < 0:
+                    outs[b][a] = ins[a][b] = -m
+        out = Quiver.__new__(Quiver)
+        out.vertices, out.frozen, out._arrows = self.vertices, self.frozen, None
+        out._in, out._out = ins, outs
+        return out
 
     @staticmethod
     def from_counter(vertices, counter: Counter, frozen) -> "Quiver":
@@ -42,6 +104,20 @@ class Quiver:
             (a, b, m) for (a, b), m in sorted(counter.items()) if m > 0
         )
         return Quiver(tuple(vertices), arrows, frozenset(frozen))
+
+    def _key(self):
+        return (self.vertices, self.arrows, self.frozen)
+
+    def __eq__(self, other):
+        if other.__class__ is not Quiver:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Quiver(vertices={self.vertices!r}, arrows={self.arrows!r}, frozen={self.frozen!r})"
 
 
 @dataclass(frozen=True)
@@ -101,46 +177,15 @@ def mutate(seed: Seed, v: int) -> Seed:
     old = seed.values[v]
     if old.is_zero():
         raise InvalidInputError(f"cannot mutate at a zero value (vertex {v})")
-    # One pass splits the arrows at v from the rest.  The quiver has no
-    # 2-cycles, so the only ones mutation can create are a -> b against
-    # an existing b -> a, for a an in- and b an out-neighbour of v.
-    incoming, outgoing, arr = [], [], {}
-    for a, b, m in quiver.arrows:
-        if b == v:
-            incoming.append((a, m))
-        elif a == v:
-            outgoing.append((b, m))
-        else:
-            arr[(a, b)] = m
-    prod_in = seed.calc.ctx.one()
-    for a, m in incoming:
-        prod_in = prod_in * seed.values[a] ** m
-    prod_out = seed.calc.ctx.one()
-    for b, m in outgoing:
-        prod_out = prod_out * seed.values[b] ** m
-    new_value = seed.calc.ctx.sum_over((prod_in, prod_out), old)
+    ctx = seed.calc.ctx
+    prod_in = ctx.product_over((seed.values[a], m) for a, m in quiver.arrows_in(v))
+    prod_out = ctx.product_over((seed.values[b], m) for b, m in quiver.arrows_out(v))
+    new_value = ctx.sum_over((prod_in, prod_out), old)
     if new_value.is_zero():
         raise ConsistencyError(f"exchange at vertex {v} produced zero")
-
-    for a, ma in incoming:
-        arr[(v, a)] = ma
-        for b, mb in outgoing:
-            m = ma * mb - arr.pop((b, a), 0)
-            if m > 0:
-                arr[(a, b)] = arr.get((a, b), 0) + m
-            elif m < 0:
-                arr[(b, a)] = -m
-    for b, mb in outgoing:
-        arr[(b, v)] = mb
-
     values = dict(seed.values)
     values[v] = new_value
-    arrows = tuple((a, b, m) for (a, b), m in sorted(arr.items()))
-    return Seed(
-        quiver=Quiver(quiver.vertices, arrows, quiver.frozen),
-        values=values,
-        calc=seed.calc,
-    )
+    return Seed(quiver=quiver.mutated(v), values=values, calc=seed.calc)
 
 
 def mutate_sequence(seed: Seed, vertices) -> Seed:

@@ -13,13 +13,15 @@ integer evaluation of the residual modulo a prime on each form's
 hyperplane: a nonzero value proves that the form does not divide, while
 a zero is only a hint, which the exact division ``kernel.poly_div_linear``
 certifies.  Sums, and exchange steps (sum) / divisor, are normalized once
-by ``RootContext.sum_over``.  No general multivariate gcd is ever needed,
+by ``RootContext.sum_over``; products of several values are formed in one
+pass by ``RootContext.product_over``.  No general multivariate gcd is ever needed,
 and equality is decided by subtraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 from random import Random
 
@@ -53,15 +55,10 @@ def form_str(coords) -> str:
     return "+".join(parts) if parts else "0"
 
 
-def _expand(forms, n, scale=1):
-    """``scale`` times the product of ``coords ^ e`` over the (coords, e) pairs with e > 0."""
-    out = {(0,) * n: scale}
-    for coords, e in forms:
-        if e > 0:
-            terms = {tuple(int(j == k) for j in range(n)): c for k, c in enumerate(coords) if c}
-            for _ in range(e):
-                out = kernel.poly_mul(out, terms)
-    return out
+def _form_terms(coords):
+    """Term dict of the linear form with coordinates ``coords``."""
+    n = len(coords)
+    return {(0,) * k + (1,) + (0,) * (n - k - 1): c for k, c in enumerate(coords) if c}
 
 
 def _vanishing_order(coeffs, s):
@@ -97,6 +94,7 @@ class RootContext:
         self.roots = tuple(sorted(roots, key=lambda r: (sum(r), r)))
         self.root_set = frozenset(self.roots)
         self._one = {(0,) * self.n: 1}
+        self._terms = {r: _form_terms(r) for r in self.roots}
         self._pivot = {r: max(i for i, c in enumerate(r) if c) for r in self.roots}
         self._mask = {
             r: sum(1 << i for i, c in enumerate(r) if c) for r in self.roots
@@ -155,8 +153,8 @@ class RootContext:
         if unit == 0:
             return self.zero()
         fac = {r: e for r, e in fac.items() if e}
-        num = _expand(rest.items(), self.n)
-        den = _expand(((f, -e) for f, e in rest.items()), self.n)
+        num = self._expand(rest.items())
+        den = self._expand((f, -e) for f, e in rest.items())
         return RootRational(self, unit, fac, num, den)
 
     def from_fraction(self, num, den=None) -> "RootRational":
@@ -167,6 +165,16 @@ class RootContext:
         check_exponents(nt, self.n)
         check_exponents(dt, self.n)
         return self.build(1, {}, nt, dt)
+
+    def _expand(self, forms, scale=1):
+        """``scale`` times the product of ``coords ^ e`` over the (coords, e) pairs with e > 0."""
+        out = {(0,) * self.n: scale}
+        for coords, e in forms:
+            if e > 0:
+                terms = self._terms.get(coords) or _form_terms(coords)
+                for _ in range(e):
+                    out = kernel.poly_mul(out, terms)
+        return out
 
     # -- normalization --------------------------------------------------
 
@@ -290,7 +298,7 @@ class RootContext:
         for v in values:
             # Cofactor exponents are >= 0 by construction, so they expand.
             exps = ((r, v.fac.get(r, 0) - shared[r]) for r in roots)
-            term = kernel.poly_mul(_expand(exps, self.n, int(v.unit * q)), v.num)
+            term = kernel.poly_mul(self._expand(exps, int(v.unit * q)), v.num)
             for d in dens:
                 if d != v.den:
                     term = kernel.poly_mul(term, d)
@@ -302,6 +310,49 @@ class RootContext:
         snum = kernel.poly_mul(snum, inv.num)
         sden = kernel.poly_mul(sden, inv.den)
         return self.build(inv.unit / q, shared, snum, sden)
+
+    def product_over(self, pairs) -> "RootRational":
+        """prod(value ^ exp) over (value, exp) pairs with int exponents.
+
+        The root exponents are summed and the units multiplied once.  Each
+        residual other than 1 is met once with its net exponent (equal
+        residuals of different values cancel here), goes to the numerator
+        or the denominator by its sign, and the two sides are cancelled
+        once at the end.  When no residual turns up on both sides, as for
+        values with residual denominator 1 and positive exponents, this is
+        the left fold of ``*`` and ``**`` part for part.
+        """
+        unit, fac, residuals = Fraction(1), {}, []
+        zero = False
+        for value, exp in pairs:
+            if value.is_zero():
+                if exp < 0:
+                    raise ZeroDivisionError("inverse of the zero function")
+                zero = zero or exp > 0
+                continue
+            if value.unit != 1:
+                unit *= value.unit**exp
+            for r, e in value.fac.items():
+                fac[r] = fac.get(r, 0) + e * exp
+            for part, e in ((value.num, exp), (value.den, -exp)):
+                if part != self._one:
+                    for entry in residuals:
+                        if entry[0] == part:
+                            entry[1] += e
+                            break
+                    else:
+                        residuals.append([part, e])
+        if zero:
+            return self.zero()
+        tops, bottoms = [], []
+        for part, e in residuals:
+            if e:
+                power = part if abs(e) == 1 else (MultiPoly(self.n, part) ** abs(e)).terms
+                (tops if e > 0 else bottoms).append(power)
+        num = reduce(kernel.poly_mul, tops) if tops else dict(self._one)
+        den = reduce(kernel.poly_mul, bottoms) if bottoms else dict(self._one)
+        num, den = self._cancel_residuals(num, den)
+        return RootRational(self, unit, {r: e for r, e in fac.items() if e}, num, den)
 
     def _cancel_residuals(self, num, den):
         """Collapse num/den when one residual exactly divides the other.

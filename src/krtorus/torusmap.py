@@ -83,11 +83,7 @@ class TorusMorphism:
 
     def monomial_value(self, mono) -> RootRational:
         """Image of a Laurent monomial {(i,p): exponent}."""
-        out = self.ctx.one()
-        for (i, p), e in mono.items():
-            if e:
-                out = out * self.y_value(i, p) ** e
-        return out
+        return self.ctx.product_over((self.y_value(i, p), e) for (i, p), e in mono.items() if e)
 
     # -- initial cluster variables ----------------------------------------
 
@@ -148,12 +144,11 @@ class TorusMorphism:
                     stack.extend(missing)
                     continue
                 grow, shrink, divisor = (memo.get(d, one) for d in deps[:3])
-                nbrs = one
-                for d in nbr_keys:
-                    nbrs = nbrs * memo[d]
+                nbrs = self.ctx.product_over((memo[d], 1) for d in nbr_keys)
                 if divisor.is_zero():
                     raise ConsistencyError(f"zero divisor in T-system at {key}")
-                out = self.ctx.sum_over((grow * shrink, nbrs), divisor)
+                grown = self.ctx.product_over(((grow, 1), (shrink, 1)))
+                out = self.ctx.sum_over((grown, nbrs), divisor)
             memo[key] = out
             stack.pop()
         return memo.get(target, one)

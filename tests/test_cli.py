@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from krtorus.cli import MAX_MMAX, MAX_RANK, MAX_WINDOW, main
+from krtorus.cli import MAX_COUNT, MAX_MMAX, MAX_RANK, MAX_TMAX, MAX_WINDOW, main
 from krtorus.field.rational import RootRational
 
 
@@ -242,9 +242,19 @@ def test_anchor_option_shifts_heights(capsys):
         (["info", "--type", "D", "--rank", str(MAX_RANK + 1)], "rank must be at most"),
         (["seed", "--type", "A", "--rank", "1000000", "--window", "10"],
          "rank must be at most"),
+        (["verify", *SS, "--suite", "properties", "--tmax", str(MAX_TMAX + 1)],
+         "tmax must be at most"),
+        (["verify", *SS, "--suite", "periodicity", "--tmax", str(MAX_TMAX + 1)],
+         "tmax must be at most"),
+        (["verify", *SS, "--suite", "flagminors", "--count", str(MAX_COUNT + 1)],
+         "count must be at most"),
+        (["verify", "--type", "A", "--rank", "3", "--suite", "schurweyl",
+          "--count", str(MAX_COUNT + 1)], "count must be at most"),
     ],
     ids=["ctilde-1e7", "ctilde-above-bound", "mutate-1e5", "seed-above-bound",
-         "ctilde-rank-30", "rank-above-bound", "seed-rank-1e6"],
+         "ctilde-rank-30", "rank-above-bound", "seed-rank-1e6", "properties-tmax-above-bound",
+         "periodicity-tmax-above-bound", "flagminors-count-above-bound",
+         "schurweyl-count-above-bound"],
 )
 def test_size_limits_refused_fast(capsys, argv, message):
     start = time.perf_counter()

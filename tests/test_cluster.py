@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krtorus import cluster
 from krtorus.cluster import Quiver, Seed, initial_seed, mutate, mutate_sequence
 from krtorus.errors import InvalidInputError
 from krtorus.field.poly import MultiPoly
@@ -179,26 +180,9 @@ def test_exchange_conservation_random_sequences(ss_quotient, d4):
             seed = nxt
 
 
-@given(
-    entries=st.lists(st.integers(-3, 3), min_size=21, max_size=21),
-    n=st.integers(2, 7),
-    k=st.integers(1, 7),
-)
-@settings(max_examples=100, deadline=None)
-def test_quiver_mutation_matches_matrix_mutation(ss_calc, entries, n, k):
-    # Exchange matrix B[i][j] = #(i -> j) - #(j -> i) of a random quiver
-    # with multiplicities; mutation at k is the b'_ij rule:
-    # b'_ij = -b_ij if k in (i, j), else b_ij + sign(b_ik) max(b_ik b_kj, 0).
-    k = (k - 1) % n + 1
-    vertices = range(1, n + 1)
-    pairs = [(i, j) for i in vertices for j in vertices if i < j]
-    B = {(i, j): 0 for i in vertices for j in vertices}
-    for (i, j), b in zip(pairs, entries):
-        B[i, j], B[j, i] = b, -b
-    arrows = tuple((i, j, B[i, j]) for i in vertices for j in vertices if B[i, j] > 0)
-    one = ss_calc.ctx.one()
-    seed = Seed(Quiver(tuple(vertices), arrows, frozenset()), {v: one for v in vertices}, ss_calc)
-    got = mutate(seed, k).quiver
+def matrix_mutation(B, vertices, k):
+    """The b'_ij rule: b'_ij = -b_ij if k in (i, j), else
+    b_ij + sign(b_ik) max(b_ik b_kj, 0)."""
     want = {}
     for i in vertices:
         for j in vertices:
@@ -207,7 +191,63 @@ def test_quiver_mutation_matches_matrix_mutation(ss_calc, entries, n, k):
             else:
                 sign = (B[i, k] > 0) - (B[i, k] < 0)
                 want[i, j] = B[i, j] + sign * max(B[i, k] * B[k, j], 0)
-    assert got.arrows == tuple(
-        (i, j, want[i, j]) for i in vertices for j in vertices if want[i, j] > 0
-    )
-    assert got.vertices == seed.quiver.vertices and got.frozen == seed.quiver.frozen
+    return want
+
+
+def arrows_of(B, vertices):
+    return tuple((i, j, B[i, j]) for i in vertices for j in vertices if B[i, j] > 0)
+
+
+@given(
+    entries=st.lists(st.integers(-3, 3), min_size=21, max_size=21),
+    n=st.integers(2, 7),
+    walk=st.lists(st.integers(1, 7), min_size=1, max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_quiver_mutation_matches_matrix_mutation(ss_calc, entries, n, walk):
+    # Exchange matrix B[i][j] = #(i -> j) - #(j -> i) of a random quiver
+    # with multiplicities, mutated along a walk.  Every quiver of the walk
+    # must keep its arrows and its per-vertex maps while later ones are
+    # built from it.
+    vertices = tuple(range(1, n + 1))
+    pairs = [(i, j) for i in vertices for j in vertices if i < j]
+    B = {(i, j): 0 for i in vertices for j in vertices}
+    for (i, j), b in zip(pairs, entries):
+        B[i, j], B[j, i] = b, -b
+    one = ss_calc.ctx.one()
+    seed = Seed(Quiver(vertices, arrows_of(B, vertices), frozenset()), {v: one for v in vertices}, ss_calc)
+    quivers, snapshots = [seed.quiver], [seed.quiver.arrows]
+    for k in walk:
+        k = (k - 1) % n + 1
+        seed = mutate(seed, k)
+        B = matrix_mutation(B, vertices, k)
+        got = seed.quiver
+        assert got.arrows == arrows_of(B, vertices)
+        assert got.vertices == vertices and got.frozen == frozenset()
+        quivers.append(got)
+        snapshots.append(got.arrows)
+        for q, arrows in zip(quivers, snapshots):
+            assert q.arrows == arrows
+            for v in vertices:
+                assert q.arrows_in(v) == [(a, m) for a, b, m in arrows if b == v]
+                assert q.arrows_out(v) == [(b, m) for a, b, m in arrows if a == v]
+        for q in quivers:
+            same = Quiver(q.vertices, q.arrows, q.frozen)
+            assert q == same and hash(q) == hash(same)
+            assert (q == got) == (q.arrows == got.arrows)
+
+
+def test_mutation_sequence_builds_no_arrow_tuple(monkeypatch, e6):
+    seed = initial_seed(TorusMorphism(e6), 2 * e6.N, specialize_frozen=True)
+    built = []
+
+    def counted(outs):
+        built.append(outs)
+        return arrow_tuple(outs)
+
+    arrow_tuple = cluster._arrow_tuple
+    monkeypatch.setattr(cluster, "_arrow_tuple", counted)
+    movable = [v for v in seed.quiver.vertices if v not in seed.quiver.frozen]
+    end = mutate_sequence(seed, movable[::7][:8])
+    assert built == []
+    assert end.quiver.arrows == end.quiver.arrows and len(built) == 1
