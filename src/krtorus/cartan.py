@@ -17,6 +17,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left, bisect_right
 from collections import deque
+from functools import lru_cache
 
 from .errors import ConsistencyError, InvalidInputError
 from .field.rational import RootContext
@@ -61,7 +62,13 @@ def _diagram_edges(family: str, rank: int):
 
 
 class DynkinDatum:
-    """Diagram, Cartan matrix and path distances for one simply-laced type."""
+    """Diagram, Cartan matrix, path distances, positive roots and their
+    ``RootContext`` for one simply-laced type.
+
+    Everything is computed in the constructor and nothing changes
+    afterwards, so ``build_frame`` shares one datum between all frames of
+    a type.
+    """
 
     def __init__(self, family: str, rank: int):
         self.family = family
@@ -80,7 +87,8 @@ class DynkinDatum:
             for i in range(1, rank + 1)
         )
         self._dist = self._distances()
-        self._positive_roots = None
+        self._positive_roots = self._root_closure()
+        self.root_context = RootContext(self._positive_roots)
 
     def _distances(self):
         dist = {}
@@ -110,49 +118,49 @@ class DynkinDatum:
         """Coordinate tuple of the simple root attached to vertex i."""
         return tuple(1 if k == i - 1 else 0 for k in range(self.rank))
 
+    def _simple_pairing(self, i: int, vec) -> int:
+        """Cartan pairing (a_i, vec) = 2 vec_i - sum of vec_j over neighbours j."""
+        return 2 * vec[i - 1] - sum(vec[j - 1] for j in self.adjacency[i])
+
     def pairing(self, beta, gamma) -> int:
         """Symmetric Cartan pairing (beta, gamma)."""
         return sum(
-            self.cartan[i][j] * beta[i] * gamma[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if beta[i] and gamma[j]
+            b * self._simple_pairing(i, gamma) for i, b in enumerate(beta, 1) if b
         )
 
     def reflect(self, i: int, vec):
         """Simple reflection s_i acting on a coordinate vector."""
-        c = sum(self.cartan[i - 1][j] * vec[j] for j in range(self.rank) if vec[j])
+        c = self._simple_pairing(i, vec)
         if not c:
             return tuple(vec)
-        return tuple(
-            v - c if k == i - 1 else v for k, v in enumerate(vec)
-        )
+        out = list(vec)
+        out[i - 1] -= c
+        return tuple(out)
 
     def positive_roots(self):
-        """All positive roots, sorted by height then coordinates.
-
-        Uses the simply-laced fact that beta + a_i is a root exactly when
-        (beta, a_i) = -1, growing the set from the simple roots.
-        """
-        if self._positive_roots is None:
-            simples = [self.alpha(i) for i in self.vertices()]
-            found = set(simples)
-            frontier = list(simples)
-            while frontier:
-                nxt = []
-                for beta in frontier:
-                    for i in self.vertices():
-                        if self.pairing(beta, self.alpha(i)) == -1:
-                            gamma = tuple(
-                                b + (1 if k == i - 1 else 0)
-                                for k, b in enumerate(beta)
-                            )
-                            if gamma not in found:
-                                found.add(gamma)
-                                nxt.append(gamma)
-                frontier = nxt
-            self._positive_roots = tuple(sorted(found, key=lambda r: (sum(r), r)))
+        """All positive roots, sorted by height then coordinates."""
         return self._positive_roots
+
+    def _root_closure(self):
+        """Grow the positive roots from the simple roots, using the
+        simply-laced fact that beta + a_i is a root exactly when
+        (beta, a_i) = -1."""
+        simples = [self.alpha(i) for i in self.vertices()]
+        found = set(simples)
+        frontier = list(simples)
+        while frontier:
+            nxt = []
+            for beta in frontier:
+                for i in self.vertices():
+                    if self._simple_pairing(i, beta) == -1:
+                        gamma = list(beta)
+                        gamma[i - 1] += 1
+                        gamma = tuple(gamma)
+                        if gamma not in found:
+                            found.add(gamma)
+                            nxt.append(gamma)
+            frontier = nxt
+        return tuple(sorted(found, key=lambda r: (sum(r), r)))
 
 
 def is_positive(vec) -> bool:
@@ -233,15 +241,10 @@ def inversion_roots(datum: DynkinDatum, word):
                 f"of {tuple(-v for v in beta)}"
             )
         out.append(beta)
-        # images <- images o s_letter
-        base = images[letter]
-        images = {
-            j: tuple(
-                images[j][t] - datum.cartan[letter - 1][j - 1] * base[t]
-                for t in range(datum.rank)
-            )
-            for j in datum.vertices()
-        }
+        # images <- images o s_letter: only the letter and its neighbours move
+        images[letter] = tuple(-v for v in beta)
+        for j in datum.adjacency[letter]:
+            images[j] = tuple(a + b for a, b in zip(images[j], beta))
     return out
 
 
@@ -328,10 +331,12 @@ def is_dominant_minuscule(datum: DynkinDatum, word) -> bool:
 class ARFrame:
     """Everything attached to (diagram, orientation, height function).
 
-    Immutable after construction apart from its lookup caches.  A lock
-    guards the ``beta_eps`` cache, since library callers may share one
-    frame between calculators; the root-position table is filled once,
-    idempotently.
+    The datum, its positive roots and ``root_context`` depend on the type
+    alone and are the datum's own, shared by every frame built on it;
+    everything else here depends on the orientation.  Immutable after
+    construction apart from its lookup caches.  A lock guards the
+    ``beta_eps`` cache, since library callers may share one frame between
+    calculators; the root-position table is filled once, idempotently.
     """
 
     def __init__(self, datum: DynkinDatum, orientation, anchor=None):
@@ -354,7 +359,7 @@ class ARFrame:
         self.n_letters = self._letter_counts()
         self.base_word = self._adapted_word()
         self.star = self._star()
-        self.root_context = RootContext(self.positive_roots)
+        self.root_context = datum.root_context
         self._beta_cache = {i: [(self.gamma[i], 1)] for i in datum.vertices()}
         self._beta_lock = threading.Lock()
         self._occ2 = self._occurrences_double_period()
@@ -612,15 +617,22 @@ class ARFrame:
         }
 
 
+@lru_cache(maxsize=32)  # every type the CLI accepts: A1-A14, D4-D14, E6-E8
+def _shared_datum(family: str, rank: int) -> DynkinDatum:
+    return DynkinDatum(family, rank)
+
+
 def build_frame(family: str, rank: int, orientation=None, height_anchor=None) -> ARFrame:
     """Construct the full combinatorial frame for one orientation.
 
     ``orientation`` may be a set of (source, target) pairs or the text
     form 'a>b,c>d'; None selects the monotonic orientation.  The height
     function is anchored so max xi = 0 unless an (vertex, value) anchor
-    is given.
+    is given.  Frames of one type share one ``DynkinDatum``, built on the
+    first call for that (family, rank) and kept in a bounded cache; a type
+    that fails to build is not cached.
     """
-    datum = DynkinDatum(family, rank)
+    datum = _shared_datum(family, rank)
     if orientation is None:
         orientation = q0_orientation(datum)
     elif isinstance(orientation, str):

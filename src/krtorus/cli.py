@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .cartan import build_frame, parse_orientation
 from .cluster import initial_seed, mutate_sequence
@@ -335,9 +336,14 @@ def _run(args) -> int:
     raise InvalidInputError(f"unknown command {args.command}")
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on the first call, then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except InvalidInputError as exc:

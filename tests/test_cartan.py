@@ -2,7 +2,10 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from krtorus import cartan
 from krtorus.cartan import (
     ARFrame,
     DynkinDatum,
@@ -60,6 +63,88 @@ def test_unsupported_families():
         DynkinDatum("E", 9)
     with pytest.raises(InvalidInputError):
         DynkinDatum("D", 3)
+
+
+# -- shared type data and sparse reflections -------------------------------------
+
+
+def test_frames_of_one_type_share_the_datum():
+    f = build_frame("E", 6)
+    g = build_frame("E", 6, "2>1,2>3,4>3,5>3,5>6")
+    assert f.orientation != g.orientation
+    assert g.datum is f.datum
+    assert g.root_context is f.root_context is f.datum.root_context
+    assert g.positive_roots is f.positive_roots
+    assert DynkinDatum("E", 6) is not f.datum  # the constructor stays uncached
+
+
+def test_failed_type_is_not_cached():
+    before = cartan._shared_datum.cache_info()
+    with pytest.raises(InvalidInputError, match="rank >= 4"):
+        build_frame("D", 3)
+    after = cartan._shared_datum.cache_info()
+    assert after.currsize == before.currsize
+    assert after.misses == before.misses + 1
+
+
+def dense_reflect(cartan_rows, i, vec):
+    c = sum(cartan_rows[i - 1][j] * vec[j] for j in range(len(vec)))
+    return tuple(v - c if k == i - 1 else v for k, v in enumerate(vec))
+
+
+def dense_inversion_roots(cartan_rows, word):
+    """(roots b_1..b_k, position of the first non-positive one or None),
+    updating every image by its full Cartan row."""
+    n = len(cartan_rows)
+    images = {j: tuple(int(t == j - 1) for t in range(n)) for j in range(1, n + 1)}
+    out = []
+    for pos, letter in enumerate(word, 1):
+        beta = images[letter]
+        if not all(v >= 0 for v in beta):
+            return out, pos
+        out.append(beta)
+        images = {
+            j: tuple(images[j][t] - cartan_rows[letter - 1][j - 1] * beta[t] for t in range(n))
+            for j in images
+        }
+    return out, None
+
+
+SPARSE_TYPES = ([("A", r) for r in range(1, 9)] + [("D", r) for r in range(4, 9)]
+                + [("E", r) for r in (6, 7, 8)])
+_DATA = {}
+
+
+@st.composite
+def datum_and_word(draw):
+    key = draw(st.sampled_from(SPARSE_TYPES))
+    datum = _DATA.setdefault(key, DynkinDatum(*key))
+    letters = st.integers(1, datum.rank)
+    vecs = st.lists(st.integers(-3, 3), min_size=datum.rank, max_size=datum.rank).map(tuple)
+    # A reduced word, grown by the drawn letters that keep it reduced, then
+    # one more letter that may not.
+    word = []
+    for letter in draw(st.lists(letters, max_size=3 * datum.rank)):
+        if dense_inversion_roots(datum.cartan, word + [letter])[1] is None:
+            word.append(letter)
+    word.append(draw(letters))
+    return datum, draw(letters), draw(vecs), draw(vecs), word
+
+
+@given(case=datum_and_word())
+@settings(max_examples=200, deadline=None)
+def test_sparse_reflections_match_dense_cartan_rows(case):
+    datum, i, vec, other, word = case
+    n = datum.rank
+    assert datum.reflect(i, vec) == dense_reflect(datum.cartan, i, vec)
+    assert datum.pairing(vec, other) == sum(
+        datum.cartan[a][b] * vec[a] * other[b] for a in range(n) for b in range(n))
+    want, bad = dense_inversion_roots(datum.cartan, word)
+    if bad is None:
+        assert inversion_roots(datum, word) == want
+    else:
+        with pytest.raises(InvalidInputError, match=f"position {bad} "):
+            inversion_roots(datum, word)
 
 
 # -- orientations -----------------------------------------------------------

@@ -1,10 +1,19 @@
+import contextlib
+import io
 import json
+import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from krtorus import cli
+from krtorus.cartan import DynkinDatum, braid_shuffle, build_frame, render_orientation
 from krtorus.cli import MAX_COUNT, MAX_MMAX, MAX_RANK, MAX_TMAX, MAX_WINDOW, main
+from krtorus.errors import InvalidInputError
 from krtorus.field.rational import RootRational
+from krtorus.suites import SUITES
 
 
 SS = ["--type", "A", "--rank", "3", "--orientation", "2>1,2>3"]
@@ -280,3 +289,181 @@ def test_vertex_off_the_diagram_exit_two(capsys):
     code, out, err = run(capsys, ["dtilde-kr", "--type", "A", "--rank", "2", "3", "0", "1"])
     assert code == 2 and out == ""
     assert err == "error: (3,0) is not a torus point: vertex 3 is not on the diagram (vertices 1..2)\n"
+
+
+# -- one parser per process -------------------------------------------------
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    build = cli.build_parser
+    calls = []
+
+    def spy():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    argv = ["dtilde-kr", *SS, "2", "-2", "2"]
+    assert run(capsys, argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["info", "--type", "B", "--rank", "3"])
+    assert exc.value.code == 2
+    usage_error = capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    code, out, err = run(capsys, argv)
+    assert len(calls) == 1
+
+    fresh = build()
+    assert help_text == fresh.format_help()
+    with pytest.raises(SystemExit):
+        fresh.parse_args(["info", "--type", "B", "--rank", "3"])
+    assert capsys.readouterr().err == usage_error
+    assert cli._run(fresh.parse_args(argv)) == code == 0
+    assert capsys.readouterr().out == out and err == ""
+
+
+# -- generated argv ------------------------------------------------------------
+
+# Small types, where a query within the window plus two steps takes
+# milliseconds (deep labels cost depth squared), and now and then a type
+# that does not exist.
+VALID_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4)]
+BAD_TYPES = [("A", 0), ("D", 3), ("E", 5), ("A", MAX_RANK + 1)]
+JUNK = st.text(alphabet="0123456789,:>-[]Y^* x", max_size=10)
+
+
+def mostly(draw, usual, odd):
+    """A draw from ``usual``, or one time in five from ``odd``."""
+    return draw(odd if draw(st.integers(0, 4)) == 0 else usual)
+
+
+@st.composite
+def frame_args(draw):
+    """(argv, frame or None) for the frame options."""
+    family, rank = mostly(draw, st.sampled_from(VALID_TYPES), st.sampled_from(BAD_TYPES))
+    argv = ["--type", family, "--rank", str(rank)]
+    try:
+        edges = DynkinDatum(family, rank).edges
+    except InvalidInputError:
+        edges = ()
+    orientation = mostly(draw, st.none() | st.permutations(edges), JUNK)
+    if isinstance(orientation, list):
+        orientation = render_orientation(
+            (a, b) if draw(st.booleans()) else (b, a) for a, b in orientation
+        )
+    anchor = mostly(draw, st.none() | st.tuples(st.integers(1, max(rank, 1)),
+                                                 st.integers(-3, 3)), JUNK)
+    for flag, value in (("--orientation", orientation), ("--anchor", anchor)):
+        if isinstance(value, tuple):
+            value = f"{value[0]}:{value[1]}"
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    try:
+        frame = build_frame(family, rank, orientation or None,
+                            anchor if isinstance(anchor, tuple) else None)
+    except InvalidInputError:
+        frame = None
+    if draw(st.booleans()):
+        argv.append("--format=json")
+    return argv, frame
+
+
+def vertex(draw, rank):
+    return mostly(draw, st.integers(1, max(rank, 1)), st.sampled_from([0, rank + 1]))
+
+
+def point(draw, frame, rank):
+    """A vertex and a point at most two steps below the vertex's window,
+    now and then with the wrong parity or above the top; and its depth."""
+    i = vertex(draw, rank)
+    top = frame.xi.get(i, 0) if frame else 0
+    window = frame.n_letters.get(i, 1) if frame else 1
+    depth = draw(st.integers(1, window + 2))
+    return i, top - 2 * (depth - 1) + mostly(draw, st.just(0), st.sampled_from([1, 2])), depth
+
+
+@st.composite
+def argvs(draw):
+    cmd = draw(st.sampled_from([
+        "info", "ctilde", "dtilde-y", "dtilde-kr", "dtilde-monomial", "dbar-cuspidal",
+        "dbar-flag", "seed", "mutate", "verify", "usage",
+    ]))
+    common, frame = draw(frame_args())
+    rank = int(common[3])
+    if cmd == "usage":
+        return draw(st.sampled_from([
+            [], ["info"], ["info", "--rank", "x"], ["info", "--type", "B", "--rank", "2"],
+            ["dtilde-y", *common], ["verify", *common, "--suite", "none"],
+            ["seed", *common, "--window", "1.5"], ["info", *common, "--bogus"],
+        ]))
+    argv = [cmd, *common]
+    if cmd == "ctilde":
+        mmax = mostly(draw, st.integers(1, 40), st.sampled_from([-1, 0, MAX_MMAX + 1]))
+        argv += [str(vertex(draw, rank)), str(vertex(draw, rank)), str(mmax)]
+    elif cmd == "dtilde-y":
+        argv += map(str, point(draw, frame, rank)[:2])
+    elif cmd == "dtilde-kr":
+        i, p, depth = point(draw, frame, rank)
+        k = mostly(draw, st.integers(1, depth), st.sampled_from([-1, 0, depth + 1]))
+        argv += [str(i), str(p), str(k)]
+    elif cmd == "dtilde-monomial":
+        atoms = []
+        for _ in range(draw(st.integers(0, 3))):
+            i, p, _ = point(draw, frame, rank)
+            atoms.append(f"Y[{i},{p}]^{draw(st.integers(-3, 3))}")
+        atoms += mostly(draw, st.just([]), st.lists(JUNK, min_size=1, max_size=1))
+        argv.append("*".join(atoms))
+    elif cmd == "dbar-cuspidal":
+        roots = st.sampled_from(frame.positive_roots) if frame else st.just(())
+        beta = mostly(draw, roots, st.lists(st.integers(-1, 2), max_size=rank + 1))
+        argv.append("--beta=" + ",".join(map(str, beta)))
+        if draw(st.booleans()):
+            argv.append("--via-pair")
+    elif cmd == "dbar-flag":
+        if frame and draw(st.booleans()):
+            shuffled = braid_shuffle(frame.datum, frame.base_word, draw(st.integers(0, 20)),
+                                     random.Random(draw(st.integers(0, 99))))
+            word = mostly(draw, st.just(shuffled), st.lists(st.integers(0, rank + 1), max_size=8))
+            argv.append("--word=" + ",".join(map(str, word)))
+    elif cmd in ("seed", "mutate"):
+        size = frame.N if frame else 4
+        window = mostly(draw, st.integers(1, 2 * size),
+                        st.sampled_from([-1, 0, MAX_WINDOW + 1]))
+        argv.append(f"--window={window}")
+        if draw(st.booleans()):
+            argv.append("--quotient")
+        if cmd == "mutate":
+            seq = [mostly(draw, st.integers(1, max(window, 1)), st.integers(-1, window + 1))
+                   for _ in range(draw(st.integers(0, 6)))]
+            argv.append("--seq=" + ",".join(map(str, seq)))
+    elif cmd == "verify":
+        argv += ["--suite", draw(st.sampled_from(sorted(SUITES)))]
+        for flag, bound in (("--tmax", MAX_TMAX), ("--count", MAX_COUNT)):
+            if draw(st.booleans()):
+                value = mostly(draw, st.integers(1, 40), st.sampled_from([-1, 0, bound + 1]))
+                argv.append(f"{flag}={value}")
+        if draw(st.booleans()):
+            argv.append(f"--seed={draw(st.integers(0, 10**6))}")
+    return argv
+
+
+@given(argv=argvs())
+@settings(max_examples=80, deadline=2000)
+def test_generated_argv_exit_cleanly(argv):
+    # Exit 0, 1 or 2 (argparse's usage errors raise SystemExit(2)); a
+    # returned 2 prints one line.  A traceback would escape main.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            assert "error:" in err.getvalue()
+            return
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
