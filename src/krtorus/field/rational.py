@@ -13,9 +13,14 @@ integer evaluation of the residual modulo a prime on each form's
 hyperplane: a nonzero value proves that the form does not divide, while
 a zero is only a hint, which the exact division ``kernel.poly_div_linear``
 certifies.  Sums, and exchange steps (sum) / divisor, are normalized once
-by ``RootContext.sum_over``; products of several values are formed in one
-pass by ``RootContext.product_over``.  No general multivariate gcd is ever needed,
-and equality is decided by subtraction.
+by ``RootContext.sum_over``.  A residual numerator that every summand has
+stays a shared factor there: only the cofactors are added, the divisor's
+residual divides the shared residual alone, and ``build`` takes the
+quotient as a root-free factor, which it multiplies in after extracting
+root forms from the cofactor sum.  Products, quotients and powers are
+formed in one pass by ``RootContext.product_over``, the one place where the
+residuals of values meet.  No general multivariate gcd is ever needed, and
+equality is decided by subtraction.
 """
 
 from __future__ import annotations
@@ -243,7 +248,7 @@ class RootContext:
                 terms = q
         return terms
 
-    def build(self, unit, fac, num, den) -> "RootRational":
+    def build(self, unit, fac, num, den, free=None) -> "RootRational":
         """Normalize raw parts into a canonical RootRational.
 
         The residuals are cancelled before any root form is divided out,
@@ -252,6 +257,13 @@ class RootContext:
         change the result.  Extraction can still leave residuals that
         divide one another, when root factors alone kept them apart, as in
         a user fraction (a1+a2)*p / (a1*p); a second cancel covers that.
+
+        ``free`` is an optional further factor of the numerator that holds
+        no root form and is primitive with a positive leading term, such
+        as a residual of a normalized value.  Root forms are screened and
+        extracted from ``num`` alone and ``free`` is multiplied in after:
+        by Gauss's lemma and unique factorization this is the residual that
+        extraction from ``num * free`` leaves, part for part.
         """
         if not num:
             return self.zero()
@@ -267,6 +279,8 @@ class RootContext:
         num = self._extract(num, fac, +1)
         den = self._extract(den, fac, -1)
         fac = {r: e for r, e in fac.items() if e}
+        if free is not None:
+            num = kernel.poly_mul(num, free)
         if num != self._one and den != self._one:
             num, den = self._cancel_residuals(num, den)
         return RootRational(self, unit, fac, num, den)
@@ -280,6 +294,13 @@ class RootContext:
         is multiplied in once) and the divisor's residuals multiply in
         crosswise.  In an exchange step the quotient is a sum of root
         products, so the divisor's residual numerator divides exactly.
+
+        A residual numerator R that every summand has, over residual
+        denominators 1, stays a shared factor: only the cofactors are
+        added, and the divisor's residual numerator D divides R, which is
+        small, instead of the expanded sum.  R / D holds no root form, so
+        ``build`` takes it as its root-free factor.  When D does not divide
+        R, R multiplies back into every cofactor.
         """
         inv = self.one() if divisor is None else divisor.inverse()
         values = [v for v in values if not v.is_zero()]
@@ -287,44 +308,70 @@ class RootContext:
             return self.zero()
         if divisor is None and len(values) == 1:
             return values[0]
-        roots = set().union(*(v.fac for v in values))
-        shared = {r: min(v.fac.get(r, 0) for v in values) for r in roots}
+        one = self._one
+        # Least root exponent over the values, a missing root counting 0.
+        shared = dict(values[0].fac)
+        for v in values[1:]:
+            fac = v.fac
+            for r, s in shared.items():
+                e = fac.get(r, 0)
+                if e < s:
+                    shared[r] = e
+            for r, e in fac.items():
+                if e < 0 and r not in shared:
+                    shared[r] = e
+        lows = [(r, -s) for r, s in shared.items() if s < 0]
+        free, sden = None, inv.den
+        residual = values[0].num
+        if residual != one and all(v.num == residual and v.den == one for v in values):
+            free = residual if sden == one else kernel.poly_div_exact(residual, sden)
+            if free is not None:
+                free, sden = kernel.poly_mul(free, inv.num), one
         q = lcm(*(v.unit.denominator for v in values))
         dens = []
         for v in values:
-            if v.den != self._one and v.den not in dens:
+            if v.den != one and v.den not in dens:
                 dens.append(v.den)
-        snum, sden = None, self._one
+        snum = None
         for v in values:
             # Cofactor exponents are >= 0 by construction, so they expand.
-            exps = ((r, v.fac.get(r, 0) - shared[r]) for r in roots)
-            term = kernel.poly_mul(self._expand(exps, int(v.unit * q)), v.num)
-            for d in dens:
-                if d != v.den:
-                    term = kernel.poly_mul(term, d)
+            fac = v.fac
+            exps = [(r, e - shared.get(r, 0)) for r, e in fac.items()]
+            exps += [low for low in lows if low[0] not in fac]
+            term = self._expand(exps, int(v.unit * q))
+            if free is None:
+                term = kernel.poly_mul(term, v.num)
+                for d in dens:
+                    if d != v.den:
+                        term = kernel.poly_mul(term, d)
             snum = term if snum is None else kernel.poly_add(snum, term)
         for d in dens:
             sden = kernel.poly_mul(sden, d)
         for r, e in inv.fac.items():
             shared[r] = shared.get(r, 0) + e
-        snum = kernel.poly_mul(snum, inv.num)
-        sden = kernel.poly_mul(sden, inv.den)
-        return self.build(inv.unit / q, shared, snum, sden)
+        if free is None:
+            snum = kernel.poly_mul(snum, inv.num)
+        return self.build(inv.unit / q, shared, snum, sden, free)
 
     def product_over(self, pairs) -> "RootRational":
         """prod(value ^ exp) over (value, exp) pairs with int exponents.
 
-        The root exponents are summed and the units multiplied once.  Each
-        residual other than 1 is met once with its net exponent (equal
-        residuals of different values cancel here), goes to the numerator
-        or the denominator by its sign, and the two sides are cancelled
-        once at the end.  When no residual turns up on both sides, as for
-        values with residual denominator 1 and positive exponents, this is
-        the left fold of ``*`` and ``**`` part for part.
+        The one place where residuals of values meet: ``*``, ``/`` and
+        ``**`` come here too.  The root exponents are summed and the units
+        multiplied once.  Each residual other than 1 is met once with its
+        net exponent (equal residuals of different values cancel here) and
+        goes to the numerator or the denominator by its sign.  Before the
+        sides are multiplied out, a residual that exactly divides one on
+        the other side cancels into it, so a product of values whose
+        residuals are irreducible, taken one factor at a time, comes out
+        reduced whatever the order; the whole sides are cancelled once at
+        the end.  When no residual turns up on both sides, as for values
+        with residual denominator 1 and positive exponents, nothing cancels
+        and the parts do not depend on how the product is grouped.
         """
         unit, fac, residuals = Fraction(1), {}, []
         zero = False
-        for value, exp in pairs:
+        for k, (value, exp) in enumerate(pairs):
             if value.is_zero():
                 if exp < 0:
                     raise ZeroDivisionError("inverse of the zero function")
@@ -339,19 +386,38 @@ class RootContext:
                     for entry in residuals:
                         if entry[0] == part:
                             entry[1] += e
+                            entry[2] = None
                             break
                     else:
-                        residuals.append([part, e])
+                        residuals.append([part, e, k])
         if zero:
             return self.zero()
-        tops, bottoms = [], []
-        for part, e in residuals:
-            if e:
-                power = part if abs(e) == 1 else (MultiPoly(self.n, part) ** abs(e)).terms
-                (tops if e > 0 else bottoms).append(power)
-        num = reduce(kernel.poly_mul, tops) if tops else dict(self._one)
-        den = reduce(kernel.poly_mul, bottoms) if bottoms else dict(self._one)
-        num, den = self._cancel_residuals(num, den)
+        tops = [[part, e, k] for part, e, k in residuals if e > 0]
+        bottoms = [[part, -e, k] for part, e, k in residuals if e < 0]
+        # m copies of a residual B dividing m copies of A leave m copies of
+        # A / B on A's side; the lists grow while they are walked.  The two
+        # residuals of one value k are normalized: neither divides the other.
+        for bottom in bottoms:
+            for top in tops:
+                if top[2] is not None and top[2] == bottom[2]:
+                    continue
+                for big, small, side in ((top, bottom, tops), (bottom, top, bottoms)):
+                    if big[1] and small[1]:
+                        q = kernel.poly_div_exact(big[0], small[0])
+                        if q is not None:
+                            m = min(big[1], small[1])
+                            big[1] -= m
+                            small[1] -= m
+                            if q != self._one:
+                                side.append([q, m, None])
+
+        def multiplied(side):
+            powers = [p if e == 1 else (MultiPoly(self.n, p) ** e).terms for p, e, _ in side if e]
+            return reduce(kernel.poly_mul, powers) if powers else self._one
+
+        num, den = multiplied(tops), multiplied(bottoms)
+        if num is not self._one and den is not self._one:
+            num, den = self._cancel_residuals(num, den)
         return RootRational(self, unit, {r: e for r, e in fac.items() if e}, num, den)
 
     def _cancel_residuals(self, num, den):
@@ -441,26 +507,7 @@ class RootRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return self.ctx.zero()
-        fac = dict(self.fac)
-        for r, e in other.fac.items():
-            s = fac.get(r, 0) + e
-            if s:
-                fac[r] = s
-            else:
-                del fac[r]
-        # Cross-cancel identical residuals before multiplying them out.
-        a_num, a_den = self.num, self.den
-        b_num, b_den = other.num, other.den
-        if a_num == b_den and a_num != self.ctx._one:
-            a_num = b_den = self.ctx._one
-        if b_num == a_den and b_num != self.ctx._one:
-            b_num = a_den = self.ctx._one
-        num = kernel.poly_mul(a_num, b_num)
-        den = kernel.poly_mul(a_den, b_den)
-        num, den = self.ctx._cancel_residuals(num, den)
-        return RootRational(self.ctx, self.unit * other.unit, fac, num, den)
+        return self.ctx.product_over(((self, 1), (other, 1)))
 
     __rmul__ = __mul__
 
@@ -474,35 +521,16 @@ class RootRational:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self * other.inverse()
+        return self.ctx.product_over(((self, 1), (other, -1)))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other * self.inverse()
+        return self.ctx.product_over(((other, 1), (self, -1)))
 
     def __pow__(self, k: int):
-        """Integer power in O(log |k|) products.
-
-        The residuals stay normalized: powers of primitive polynomials
-        are primitive (Gauss's lemma), and by unique factorization they
-        gain no root factor and neither comes to divide the other.
-        """
-        if k == 0:
-            return self.ctx.one()
-        base = self.inverse() if k < 0 else self
-        m = abs(k)
-        if m == 1 or base.is_zero():
-            return base
-        n = self.ctx.n
-        return RootRational(
-            self.ctx,
-            base.unit**m,
-            {r: e * m for r, e in base.fac.items()},
-            (MultiPoly(n, base.num) ** m).terms,
-            (MultiPoly(n, base.den) ** m).terms,
-        )
+        return self.ctx.product_over(((self, k),))
 
     def __neg__(self):
         if self.is_zero():

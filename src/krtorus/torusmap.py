@@ -132,9 +132,7 @@ class TorusMorphism:
                 stack.pop()
                 continue
             if p + 2 * k - 2 == self.frame.xi[i]:
-                out = one
-                for j in range(k):
-                    out = out * self.y_value(i, p + 2 * j)
+                out = self.monomial_value({(i, p + 2 * j): 1 for j in range(k)})
             else:
                 # T-system at (i, p+2, k), solved for the lowest-top factor.
                 nbr_keys = [(j, p + 1, k) for j in self.frame.datum.adjacency[i]]

@@ -794,6 +794,154 @@ def test_product_over_equals_fold_on_user_fractions(kind, count, data):
     assert ctx.product_over(pairs) == fold(ctx, pairs)
 
 
+@lru_cache(maxsize=None)
+def one_residual_values(kind):
+    """Values with at most one irreducible residual on each side.
+
+    Each residual is a_j plus a polynomial in the other variables: of
+    degree 1 in a_j with coefficient 1, so irreducible, and not linear, so
+    free of root forms.
+    """
+    ctx = screen_context(*kind)
+    n = ctx.n
+    a = [MultiPoly.linear_form(tuple(int(k == j) for k in range(n))) for j in range(n)]
+    one = MultiPoly.one(n)
+    residuals = [
+        one,
+        a[0] + a[1] * a[2] + one,
+        a[1] + a[0] * a[2] - one * 2,
+        a[2] + a[0] ** 2 + a[1],
+    ]
+    rng = random.Random(7)
+    values = []
+    for top in residuals:
+        for bottom in residuals:
+            if top is bottom and top is not one:
+                continue
+            forms = {r: rng.randint(-2, 2) for r in rng.sample(ctx.roots, 2)}
+            unit = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            base = ctx.from_root_factors(forms.items(), unit=unit)
+            values.append(base * ctx.from_fraction(top, bottom))
+    return ctx, values
+
+
+@given(
+    kind=st.sampled_from([("A", 3), ("D", 4)]),
+    picks=st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from([1, -1])), min_size=1, max_size=6
+    ),
+    orders=st.lists(st.randoms(use_true_random=False), min_size=1, max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_folds_in_any_order_give_identical_parts(kind, picks, orders):
+    # Multiplied or divided in one value at a time, each step cancels every
+    # residual that the value shares with the product so far, so each fold
+    # ends reduced and, the reduced form being unique, in the same parts.
+    ctx, values = one_residual_values(kind)
+    pairs = [(values[j % len(values)], e) for j, e in picks]
+    want = parts(ctx.product_over(pairs))
+    for order in orders:
+        order.shuffle(pairs)
+        out = ctx.one()
+        for value, e in pairs:
+            out = out * value if e > 0 else out / value
+        assert parts(out) == want
+
+
+def multiplied_out(ctx, value):
+    """(numerator, denominator) term dicts of a value, nothing factored."""
+    top = ctx._expand(value.fac.items(), value.unit.numerator)
+    bottom = ctx._expand(((r, -e) for r, e in value.fac.items()), value.unit.denominator)
+    return kernel.poly_mul(top, value.num), kernel.poly_mul(bottom, value.den)
+
+
+@given(
+    kind=st.sampled_from([("A", 3), ("D", 4)]),
+    divisor_kind=st.sampled_from(
+        ["none", "factored", "divides", "equal", "does not divide", "over"]
+    ),
+    count=st.integers(1, 3),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_sum_over_keeps_a_shared_residual_factored(kind, divisor_kind, count, data):
+    # Summands share the residual R = R1 * R2 of two engine values; the
+    # divisor's residual is 1, R1 (divides R), R itself, or a residual R3
+    # that does not divide R, or it has a residual denominator.
+    ctx, values = engine_values(kind)
+    residual = [v for v in values if not v.is_factored()]
+    w1, w2, w3 = (data.draw(st.sampled_from(residual)) for _ in range(3))
+    if divisor_kind == "does not divide":
+        assume(w3.num not in (w1.num, w2.num))
+
+    def factored():
+        forms = root_forms(ctx, data, -1, 1)
+        return ctx.from_root_factors(forms.items(), unit=data.draw(UNITS))
+
+    shared = w1 * w2
+    summands = [shared * factored() for _ in range(count)]
+    assert all(v.num == shared.num for v in summands)
+    divisor = {
+        "none": None,
+        "factored": factored(),
+        "divides": w1 * factored(),
+        "equal": shared * factored(),
+        "does not divide": w3 * factored(),
+        "over": factored() / w3,
+    }[divisor_kind]
+    got = ctx.sum_over(summands, divisor)
+    top, bottom = multiplied_out(ctx, summands[0])
+    for v in summands[1:]:
+        p, q = multiplied_out(ctx, v)
+        top = kernel.poly_add(kernel.poly_mul(top, q), kernel.poly_mul(p, bottom))
+        bottom = kernel.poly_mul(bottom, q)
+    if divisor is not None:
+        p, q = multiplied_out(ctx, divisor)
+        top, bottom = kernel.poly_mul(top, q), kernel.poly_mul(bottom, p)
+    want = ctx.build(1, {}, top, bottom)
+    assert parts(got) == parts(want)
+
+
+def test_tsystem_steps_divide_no_expanded_sum(monkeypatch):
+    # An exchange step whose summands share a residual numerator divides
+    # that residual by the divisor's, never the expanded sum.
+    steps = []
+    divided = []
+
+    def recorded_sum_over(self, values, divisor=None):
+        values = list(values)
+        steps.append(max(len(v.num) for v in values))
+        try:
+            return sum_over(self, values, divisor)
+        finally:
+            steps.pop()
+
+    def recorded_div_exact(p, g):
+        if steps:
+            divided.append((len(p), steps[-1]))
+        return div_exact(p, g)
+
+    sum_over, div_exact = RootContext.sum_over, kernel.poly_div_exact
+    monkeypatch.setattr(RootContext, "sum_over", recorded_sum_over)
+    monkeypatch.setattr(kernel, "poly_div_exact", recorded_div_exact)
+    assert run_suite("tsystem", build_frame("D", 6)).ok
+    assert divided and all(size <= largest for size, largest in divided)
+
+
+def test_product_order_does_not_change_the_parts(ctx):
+    one = MultiPoly.one(3)
+
+    def form(*coords):
+        return MultiPoly.linear_form(coords)
+
+    s = ctx.from_fraction(form(1, -1, 0) * form(1, 0, 1) + one)
+    t = ctx.from_fraction(form(0, 1, -1) * form(1, 1, 0) + one)
+    first = s**-2 * s**3 * t**-1
+    second = s**3 * t**-1 * s**-2
+    assert parts(first) == parts(second) == parts(s / t)
+    assert (len(first.num), len(first.den)) == (5, 5)
+
+
 def test_multiplicity_examples(ctx):
     a2, a12, a23 = (0, 1, 0), (1, 1, 0), (0, 1, 1)
     v = ctx.from_root_factors([(a2, -1), (a12, -1)])
