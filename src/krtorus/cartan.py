@@ -21,6 +21,7 @@ from functools import lru_cache
 
 from .errors import ConsistencyError, InvalidInputError
 from .field.rational import RootContext
+from .qcartan import QuantumCartanInverse
 
 __all__ = [
     "ARFrame",
@@ -61,13 +62,26 @@ def _diagram_edges(family: str, rank: int):
     raise InvalidInputError(f"unsupported family {family!r} (expected A, D or E)")
 
 
-class DynkinDatum:
-    """Diagram, Cartan matrix, path distances, positive roots and their
-    ``RootContext`` for one simply-laced type.
+def _nakayama(family: str, rank: int):
+    """The involution i -> i* with w0(a_i) = -a_(i*): the diagram flip in
+    A, in D of odd rank and in E6 (this labelling), else the identity."""
+    star = {i: i for i in range(1, rank + 1)}
+    if family == "A":
+        star = {i: rank + 1 - i for i in star}
+    elif family == "D" and rank % 2:
+        star[rank - 1], star[rank] = rank, rank - 1
+    elif family == "E" and rank == 6:
+        star.update({1: 6, 6: 1, 2: 5, 5: 2})
+    return star
 
-    Everything is computed in the constructor and nothing changes
-    afterwards, so ``build_frame`` shares one datum between all frames of
-    a type.
+
+class DynkinDatum:
+    """Diagram, Cartan matrix, path distances, positive roots, their
+    ``RootContext``, the involution ``star`` and the ``qcartan`` table
+    for one simply-laced type.
+
+    Everything is computed in the constructor, so ``build_frame`` shares
+    one datum between all frames of a type; only the table grows after.
     """
 
     def __init__(self, family: str, rank: int):
@@ -89,6 +103,8 @@ class DynkinDatum:
         self._dist = self._distances()
         self._positive_roots = self._root_closure()
         self.root_context = RootContext(self._positive_roots)
+        self.star = _nakayama(family, rank)
+        self.qcartan = QuantumCartanInverse(self)
 
     def _distances(self):
         dist = {}
@@ -227,6 +243,12 @@ def apply_word(datum: DynkinDatum, word, vec):
 
 def inversion_roots(datum: DynkinDatum, word):
     """Roots b_k = s_{i1}...s_{i(k-1)}(a_{ik}); fails if the word is not reduced."""
+    return _inversion_pass(datum, word)[0]
+
+
+def _inversion_pass(datum: DynkinDatum, word):
+    """The inversion roots of ``word`` and the images w(a_j) of the simple
+    roots under its product w, as a {j: image} map."""
     images = {j: datum.alpha(j) for j in datum.vertices()}
     out = []
     for k, letter in enumerate(word):
@@ -245,7 +267,7 @@ def inversion_roots(datum: DynkinDatum, word):
         images[letter] = tuple(-v for v in beta)
         for j in datum.adjacency[letter]:
             images[j] = tuple(a + b for a, b in zip(images[j], beta))
-    return out
+    return out, images
 
 
 def braid_moves(datum: DynkinDatum, word):
@@ -357,8 +379,7 @@ class ARFrame:
         self._tau_order = self._topological_order()
         self.gamma = self._gammas()
         self.n_letters = self._letter_counts()
-        self.base_word = self._adapted_word()
-        self.star = self._star()
+        self.base_word, self.star = self._adapted_word()
         self.root_context = datum.root_context
         self._beta_cache = {i: [(self.gamma[i], 1)] for i in datum.vertices()}
         self._beta_lock = threading.Lock()
@@ -389,29 +410,29 @@ class ARFrame:
 
     def _letter_counts(self):
         """How often each vertex appears in the adapted word of the longest
-        element: the length of its Coxeter orbit inside the positive roots."""
-        counts = {}
-        for i in self.datum.vertices():
-            root = self.gamma[i]
-            r = 1
-            while True:
-                root = self.coxeter(root)
-                if not is_positive(root):
-                    break
-                r += 1
-            counts[i] = r
+        element: the length n_i = (h + xi_i - xi_(i*)) / 2 of its row in the
+        Auslander-Reiten quiver of the orientation (Hernandez-Leclerc,
+        arXiv:1109.0862), with i* from the datum's involution.  Every
+        adapted reduced word of w0 has these counts, so ``_adapted_word``
+        certifies them along with the word."""
+        star = self.datum.star
+        counts = {
+            i: (self.h + self.xi[i] - self.xi[star[i]]) // 2
+            for i in self.datum.vertices()
+        }
         if sum(counts.values()) != self.N:
-            raise InvalidInputError("Coxeter orbit lengths do not sum to N")
+            raise InvalidInputError("letter counts do not sum to N")
         return counts
 
     def _adapted_word(self):
-        """Adapted reduced word of the longest element.
+        """Adapted reduced word of the longest element, and its ``star``.
 
         Sweeps the topological order of the orientation over and over,
-        dropping each letter once its Coxeter-orbit count is used up.
-        For the monotonic orientation this reads (1..n)(1..n-1)... in
-        type A and (1..n) repeated in type D.  The result is certified
-        adapted and reduced; a word that fails certification is a bug.
+        dropping each letter once its count is used up.  For the monotonic
+        orientation this reads (1..n)(1..n-1)... in type A and (1..n)
+        repeated in type D.  The result is certified adapted, reduced and
+        of length N, so a word of w0, which must send a_i to -a_(i*) for
+        the datum's involution *.  A word that fails this is a bug.
         """
         counts = dict(self.n_letters)
         word = []
@@ -424,32 +445,28 @@ class ARFrame:
             if len(word) == before:
                 break
         word = tuple(word)
-        if len(word) != self.N or not self._word_certified(word):
+        images = self._word_certified(word) if len(word) == self.N else None
+        if images is None:
             raise ConsistencyError("adapted word not certified")
-        return word
+        datum = self.datum
+        for i, img in images.items():
+            if img != tuple(-v for v in datum.alpha(datum.star[i])):
+                raise ConsistencyError("adapted word does not represent w0")
+        return word, dict(datum.star)
 
-    def _word_certified(self, word) -> bool:
+    def _word_certified(self, word):
+        """The images w(a_j) of the simple roots under the product w of
+        ``word`` if the word is reduced and adapted, else None."""
         try:
-            inversion_roots(self.datum, word)
+            _, images = _inversion_pass(self.datum, word)
         except InvalidInputError:
-            return False  # not reduced
+            return None  # not reduced
         arrows = set(self.orientation)
         for letter in word:
             if any(b == letter for _, b in arrows):
-                return False  # not a source at its turn
+                return None  # not a source at its turn
             arrows = {(b, a) if letter in (a, b) else (a, b) for a, b in arrows}
-        return True
-
-    def _star(self):
-        datum = self.datum
-        star = {}
-        for i in datum.vertices():
-            img = apply_word(datum, self.base_word, datum.alpha(i))
-            neg = tuple(-v for v in img)
-            if not is_positive(neg) or sum(neg) != 1:
-                raise ConsistencyError("adapted word does not represent w0")
-            star[i] = neg.index(1) + 1
-        return star
+        return images
 
     def _topological_order(self):
         indeg = {v: len(self.in_arrows[v]) for v in self.datum.vertices()}
@@ -568,17 +585,22 @@ class ARFrame:
         """(positive root, sign) attached to the torus point (i, p)."""
         self.check_point(i, p)
         m = (self.xi[i] - p) // 2
+        return self.beta_column(i, m)[m]
+
+    def beta_column(self, i: int, depth: int):
+        """The (positive root, sign) pairs of the points (i, xi_i - 2m),
+        filled at least to m = ``depth``.  The list only grows."""
         cache = self._beta_cache[i]
-        if len(cache) <= m:
+        if len(cache) <= depth:
             with self._beta_lock:
-                while len(cache) <= m:
+                while len(cache) <= depth:
                     root, eps = cache[-1]
                     img = self.coxeter(root)
                     if is_positive(img):
                         cache.append((img, eps))
                     else:
                         cache.append((tuple(-v for v in img), -eps))
-        return cache[m]
+        return cache
 
     def beta_at(self, t: int):
         """Positive root attached to word position t."""

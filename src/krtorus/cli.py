@@ -21,7 +21,6 @@ from .cuspidal import (
 )
 from .errors import InvalidInputError
 from .field.rational import form_str
-from .qcartan import QuantumCartanInverse
 from .suites import SUITES, run_suite
 from .torusmap import TorusMorphism, parse_monomial
 
@@ -30,7 +29,7 @@ __all__ = ["main"]
 # Size limits, chosen so that every accepted input finishes within
 # seconds: on a 2-core VM, ctilde up to m = 10000 takes 2.0-2.3 s on A14
 # and D14 (its cost grows with the square of the rank), and a seed on a
-# window of 1000 1.3-2.2 s on A2, A14, D14 and E8 (its cost grows with the
+# window of 1000 0.2-0.7 s on A2, A14, D14 and E8 (its cost grows with the
 # square of the window).  verify --tmax 1000 takes 0.9-1.1 s for
 # properties and 0.4-1.0 s for periodicity on A2, A14, D14 and E8 (both
 # grow with the square of tmax), and verify --count 100 takes 1.1-2.8 s
@@ -192,7 +191,7 @@ def _run(args) -> int:
             raise InvalidInputError(f"mmax must be at least 1, got {args.mmax}")
         if args.mmax > MAX_MMAX:
             raise InvalidInputError(f"mmax must be at most {MAX_MMAX}, got {args.mmax}")
-        table = QuantumCartanInverse(frame.datum)
+        table = frame.datum.qcartan
         rows = [
             {"i": args.i, "j": args.j, "m": m, "value": table.coeff(args.i, args.j, m)}
             for m in range(1, args.mmax + 1)

@@ -95,7 +95,7 @@ def hook_product(frame: ARFrame, word) -> RootRational:
             "does not apply"
         )
     roots = inversion_roots(frame.datum, word)
-    return frame.root_context.from_root_factors((r, -1) for r in roots)
+    return frame.root_context.root_product(dict.fromkeys(roots, -1))
 
 
 # -- closed cuspidal values over the monotonic orientation ---------------------

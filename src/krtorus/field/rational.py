@@ -4,7 +4,9 @@ A value is  unit * prod(root form ^ exp) * num / den  where the root
 forms are positive-root linear forms of a fixed root system, and num,
 den are primitive integer polynomials carrying whatever does not factor
 into root forms.  A linear form is classified once, on input: it is a
-positive root up to a scalar or it is not.  Other input is normalized
+positive root up to a scalar or it is not (engine values, root products
+by construction, skip this in ``RootContext.root_product``).  Other input
+is normalized
 once, by ``RootContext.build``: the residuals are cancelled where one
 divides the other, then positive-root forms are divided out (the forms
 are irreducible, so the extracted multiset is unique and the order of
@@ -161,6 +163,18 @@ class RootContext:
         num = self._expand(rest.items())
         den = self._expand((f, -e) for f, e in rest.items())
         return RootRational(self, unit, fac, num, den)
+
+    def root_product(self, exps) -> "RootRational":
+        """Value  prod(root ^ exp)  for a {positive root: int exponent} dict.
+
+        For engine values, whose factors are roots by construction: only
+        the keys are checked.  User input goes through ``from_root_factors``.
+        """
+        if not exps.keys() <= self.root_set:
+            bad = next(r for r in exps if r not in self.root_set)
+            raise ValueError(f"{bad} is not a positive root here")
+        fac = {r: e for r, e in exps.items() if e}
+        return RootRational(self, Fraction(1), fac, self._one, self._one)
 
     def from_fraction(self, num, den=None) -> "RootRational":
         nt = num.terms if isinstance(num, MultiPoly) else dict(num)
@@ -349,7 +363,7 @@ class RootContext:
             sden = kernel.poly_mul(sden, d)
         for r, e in inv.fac.items():
             shared[r] = shared.get(r, 0) + e
-        if free is None:
+        if free is None and inv.num != one:
             snum = kernel.poly_mul(snum, inv.num)
         return self.build(inv.unit / q, shared, snum, sden, free)
 

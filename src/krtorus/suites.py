@@ -23,7 +23,6 @@ from .cuspidal import (
     standard_seed_minors,
 )
 from .errors import InvalidInputError
-from .qcartan import QuantumCartanInverse
 from .segments import segment_d, sigma_d, theta_d
 from .torusmap import (
     TorusMorphism,
@@ -175,8 +174,8 @@ def suite_periodicity(frame, tmax=None, **_):
 def suite_ctilde(frame, **_):
     """Coefficient table: pinned series, vanishing range, window pairing."""
     res = SuiteResult("ctilde")
-    table = QuantumCartanInverse(frame.datum)
     datum = frame.datum
+    table = datum.qcartan
     if datum.family == "A" and datum.rank == 3:
         for (i, j), series in A3_COEFF_SERIES.items():
             got = {m: table.coeff(i, j, m) for m in range(1, 17)}

@@ -13,6 +13,7 @@ string top or keeps it while shortening the string.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .cartan import ARFrame, q0_orientation
@@ -48,15 +49,16 @@ class TorusMorphism:
     """Value calculator bound to one frame.
 
     Holds the coefficient table and memo caches; all methods are pure
-    functions of (frame, label).  The package starts no threads.  The
-    frame and the table, which library callers may share between
-    calculators, each guard their cache with a lock; the calculator's own
-    memos are plain dicts.
+    functions of (frame, label).  Without a ``table`` argument it reads
+    the type's one table, ``frame.datum.qcartan``.  The package starts no
+    threads.  The frame and the table, which library callers may share
+    between calculators, each guard their cache with a lock; the
+    calculator's own memos are plain dicts.
     """
 
     def __init__(self, frame: ARFrame, table: QuantumCartanInverse | None = None):
         self.frame = frame
-        self.table = table if table is not None else QuantumCartanInverse(frame.datum)
+        self.table = table if table is not None else frame.datum.qcartan
         self.ctx = frame.root_context
         self._y_cache = {}
         self._kr_cache = {}
@@ -69,16 +71,7 @@ class TorusMorphism:
         self.frame.check_point(i, p)
         key = (i, p)
         if key not in self._y_cache:
-            coeff = self.table.coeff
-            pairs = []
-            for j in self.frame.datum.vertices():
-                s = self.frame.xi[j]
-                while s >= p:
-                    e = coeff(i, j, s - p - 1) - coeff(i, j, s - p + 1)
-                    if e:
-                        pairs.append((self.frame.beta_eps(j, s)[0], e))
-                    s -= 2
-            self._y_cache[key] = self.ctx.from_root_factors(pairs)
+            self._y_cache[key] = self._window_product(i, p, 2)
         return self._y_cache[key]
 
     def monomial_value(self, mono) -> RootRational:
@@ -98,18 +91,31 @@ class TorusMorphism:
         if t < 1:
             raise InvalidInputError("cluster positions start at 1")
         if t not in self._initial_cache:
-            i, p = self.frame.phi_inv(t)
-            coeff = self.table.coeff
-            pairs = []
-            for j in self.frame.datum.vertices():
-                s = self.frame.xi[j]
-                while s >= p:
-                    e = coeff(i, j, s - p + 1)
-                    if e:
-                        pairs.append((self.frame.beta_eps(j, s)[0], -e))
-                    s -= 2
-            self._initial_cache[t] = self.ctx.from_root_factors(pairs)
+            self._initial_cache[t] = self._window_product(*self.frame.phi_inv(t), None)
         return self._initial_cache[t]
+
+    def _window_product(self, i: int, p: int, lag) -> RootRational:
+        """Product over the window points (j, s), s >= p, of the root of
+        (j, s) to the power coeff(i, j, m - lag) - coeff(i, j, m), where
+        m = s - p + 1 and a ``lag`` of None drops the first term.  (i, p)
+        must be a torus point."""
+        frame = self.frame
+        xi = frame.xi
+        rows = self.table.rows(max(xi.values()) - p + 1)
+        row_i = (i - 1) * frame.datum.rank - 1
+        fac = {}
+        for j in frame.datum.vertices():
+            top = xi[j]
+            at = row_i + j
+            column = frame.beta_column(j, (top - p) // 2)
+            for m in range(top - p + 1, 0, -2):
+                e = rows[m][at]
+                if lag is not None and m > lag:
+                    e -= rows[m - lag][at]
+                if e:
+                    root = column[(top - p + 1 - m) // 2][0]
+                    fac[root] = fac.get(root, 0) - e
+        return self.ctx.root_product(fac)
 
     # -- Kirillov-Reshetikhin classes ----------------------------------------
 
@@ -180,19 +186,23 @@ def closed_form_type_a(frame: ARFrame, i: int, s: int, k: int) -> RootRational:
     _require_q0(frame, "A")
     r = _label_depth(frame, i, s, k)
     n = frame.datum.rank
-    pairs = []
+    exps = Counter()
     for p in range(r - k + 1, r + 1):
         for q in range(r, r + i):
-            pairs.append((segment_a(n, p, q), -1))
-    return frame.root_context.from_root_factors(pairs)
+            exps[segment_a(n, p, q)] -= 1
+    return frame.root_context.root_product(exps)
 
 
 def closed_form_type_d(frame: ARFrame, i: int, s: int, k: int) -> RootRational:
-    """Type D product formula for KR values over the monotonic orientation."""
+    """Type D product formula for KR values over the monotonic orientation.
+
+    Its only factors that are not roots are the numerator's theta[p,p];
+    one cancels against the denominator when r - k + 1 <= p <= r.
+    """
     _require_q0(frame, "D")
     r = _label_depth(frame, i, s, k)
     n = frame.datum.rank
-    pairs = []
+    exps, doubled = Counter(), []
     if i <= n - 2:
         rp = r + i - n + 1
         rpp = max(rp - k + 1, 0)
@@ -200,26 +210,29 @@ def closed_form_type_d(frame: ARFrame, i: int, s: int, k: int) -> RootRational:
         qmax = n - 2 + min(0, rp)
         for p in range(rppp, r + 1):
             for q in range(r, qmax + 1):
-                pairs.append((segment_d(n, p, q), -1))
+                exps[segment_d(n, p, q)] -= 1
         for p in range(rpp, rp + 1):
             if p == 0:
                 continue
-            pairs.append((theta_d(n, p, p), +1))
+            if not rppp <= p <= r:
+                doubled.append((theta_d(n, p, p), 1))
             for q in range(rppp, r + 1):
-                pairs.append((theta_d(n, p, q), -1))
+                if q != p:
+                    exps[theta_d(n, p, q)] -= 1
             for q in range(rp, n + 1):
-                pairs.append((segment_d(n, p, q), -1))
+                exps[segment_d(n, p, q)] -= 1
     else:
         rppp = r - k + 1
         tail = sigma_d(n, i, r - 1)
         for p in range(rppp, r + 1):
             for q in range(r, n - 1):
-                pairs.append((segment_d(n, p, q), -1))
-            pairs.append((segment_d(n, p, tail), -1))
+                exps[segment_d(n, p, q)] -= 1
+            exps[segment_d(n, p, tail)] -= 1
         for p in range(rppp, r + 1):
             for q in range(p + 1, r + 1):
-                pairs.append((theta_d(n, p, q), -1))
-    return frame.root_context.from_root_factors(pairs)
+                exps[theta_d(n, p, q)] -= 1
+    value = frame.root_context.root_product(exps)
+    return value * frame.root_context.from_root_factors(doubled) if doubled else value
 
 
 # -- structural properties of the initial-variable values ---------------------

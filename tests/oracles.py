@@ -91,3 +91,53 @@ def series_inverse_coeffs(adjacency, rank, order):
 def _mat_inv_apply_neg(inv0, acc):
     neg = [[-x for x in row] for row in acc]
     return _mat_mul(inv0, neg)
+
+
+def dense_reflect(cartan, i, vec):
+    """s_i on a coordinate vector, through the full Cartan row of vertex i."""
+    c = sum(a * v for a, v in zip(cartan[i - 1], vec))
+    return tuple(v - c if k == i - 1 else v for k, v in enumerate(vec))
+
+
+def coxeter_orbit_lengths(cartan, arrows):
+    """For each vertex i, how many of gamma_i, c(gamma_i), c^2(gamma_i), ...
+    are positive before the first negative one, where gamma_i sums the
+    simple roots with a directed path to i and c is the Coxeter element of
+    the orientation (sources reflect last, so act first on the left)."""
+    n = len(cartan)
+    ins = {i: {a for a, b in arrows if b == i} for i in range(1, n + 1)}
+    order, left = [], set(range(1, n + 1))
+    while left:
+        ready = sorted(v for v in left if not ins[v] & left)
+        order.extend(ready)
+        left -= set(ready)
+    counts = {}
+    for i in range(1, n + 1):
+        reach, stack = {i}, [i]
+        while stack:
+            for a in ins[stack.pop()] - reach:
+                reach.add(a)
+                stack.append(a)
+        root = tuple(int(k + 1 in reach) for k in range(n))
+        count = 0
+        while all(c >= 0 for c in root):
+            count += 1
+            for v in reversed(order):
+                root = dense_reflect(cartan, v, root)
+        counts[i] = count
+    return counts
+
+
+def longest_word_involution(cartan, word):
+    """{i: i*} with w(a_i) = -a_(i*) for the product w of ``word``, which
+    must be a word of the longest element."""
+    n = len(cartan)
+    star = {}
+    for i in range(1, n + 1):
+        vec = tuple(int(k == i - 1) for k in range(n))
+        for letter in reversed(word):
+            vec = dense_reflect(cartan, letter, vec)
+        neg = tuple(-v for v in vec)
+        assert sorted(neg) == [0] * (n - 1) + [1], f"w(a_{i}) = {vec} is not a negative simple root"
+        star[i] = neg.index(1) + 1
+    return star

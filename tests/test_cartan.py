@@ -22,7 +22,12 @@ from krtorus.cartan import (
 )
 from krtorus.errors import InvalidInputError
 
-from oracles import weyl_positive_roots
+from oracles import (
+    coxeter_orbit_lengths,
+    dense_reflect,
+    longest_word_involution,
+    weyl_positive_roots,
+)
 
 
 ROOT_COUNTS = {("A", 1): 1, ("A", 3): 6, ("A", 5): 15, ("D", 4): 12,
@@ -85,11 +90,6 @@ def test_failed_type_is_not_cached():
     after = cartan._shared_datum.cache_info()
     assert after.currsize == before.currsize
     assert after.misses == before.misses + 1
-
-
-def dense_reflect(cartan_rows, i, vec):
-    c = sum(cartan_rows[i - 1][j] * vec[j] for j in range(len(vec)))
-    return tuple(v - c if k == i - 1 else v for k, v in enumerate(vec))
 
 
 def dense_inversion_roots(cartan_rows, word):
@@ -233,6 +233,33 @@ def test_star_is_an_involution(a3_sink_source, d4, d5, e6):
         for i in f.datum.vertices():
             img = apply_word(f.datum, f.base_word, f.datum.alpha(i))
             assert img == tuple(-c for c in f.datum.alpha(f.star[i]))
+
+
+CLI_TYPES = (
+    [("A", r) for r in range(1, 15)]
+    + [("D", r) for r in range(4, 15)]
+    + [("E", r) for r in (6, 7, 8)]
+)
+
+
+@st.composite
+def oriented_frames(draw):
+    family, rank = draw(st.sampled_from(CLI_TYPES))
+    edges = DynkinDatum(family, rank).edges
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    arrows = {(b, a) if f else (a, b) for (a, b), f in zip(edges, flips)}
+    anchor = (draw(st.integers(1, rank)), draw(st.integers(-20, 20)))
+    return build_frame(family, rank, arrows, anchor)
+
+
+@given(frame=oriented_frames())
+@settings(max_examples=150, deadline=None)
+def test_row_lengths_and_star_match_reflections(frame):
+    # n_letters comes from the heights and star from the datum's involution;
+    # the oracles walk Coxeter orbits and apply the word by reflections.
+    cartan = frame.datum.cartan
+    assert frame.n_letters == coxeter_orbit_lengths(cartan, frame.orientation)
+    assert frame.star == longest_word_involution(cartan, frame.base_word)
 
 
 def test_coxeter_orbit_covers_positive_roots(a3_sink_source, d4, e6):

@@ -622,6 +622,52 @@ def test_exchange_steps_screen_the_quotient(monkeypatch):
     assert failed == []
 
 
+def per_point_pairs(calc, i, p, lag):
+    """(root, exponent) pairs of the window product behind y_value (lag 2)
+    or initial_value (lag None), one coeff and one beta_eps call a point."""
+    frame, coeff = calc.frame, calc.table.coeff
+    pairs = []
+    for j in frame.datum.vertices():
+        for s in range(frame.xi[j], p - 1, -2):
+            e = coeff(i, j, s - p + 1)
+            if lag is not None:
+                e -= coeff(i, j, s - p + 1 - lag)
+            if e:
+                pairs.append((frame.beta_eps(j, s)[0], -e))
+    return pairs
+
+
+@pytest.mark.parametrize("kind", [("A", 3), ("D", 4), ("E", 6)])
+def test_root_product_matches_from_root_factors_on_windows(kind):
+    frame = build_frame(*kind)
+    calc = TorusMorphism(frame)
+    ctx = frame.root_context
+
+    def parts(v):
+        return v.unit, v.fac, v.num, v.den
+
+    for t in range(1, 2 * frame.N + 1):
+        i, p = frame.phi_inv(t)
+        for got, lag in ((calc.y_value(i, p), 2), (calc.initial_value(t), None)):
+            pairs = per_point_pairs(calc, i, p, lag)
+            exps = {}
+            for root, e in pairs:
+                exps[root] = exps.get(root, 0) + e
+            want = parts(ctx.from_root_factors(pairs))
+            assert parts(got) == want, (kind, t, lag)
+            assert parts(ctx.root_product(exps)) == want, (kind, t, lag)
+
+
+def test_root_product_takes_positive_roots_only(ctx):
+    assert ctx.root_product({(1, 1, 0): -1, (0, 0, 1): 0}) == ctx.from_root_factors(
+        [((1, 1, 0), -1)]
+    )
+    assert ctx.root_product({(0, 1, 0): 0}).is_one()
+    for key in [(1, 0, 1), (2, 2, 0), (1, 1), (0, -1, 0)]:
+        with pytest.raises(ValueError, match="not a positive root"):
+            ctx.root_product({(1, 0, 0): 1, key: -1})
+
+
 SUM_KINDS = [("A", 3), ("D", 4), ("E", 6)]
 UNITS = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
 

@@ -4,7 +4,9 @@ import sys
 import pytest
 
 from krtorus.cartan import build_frame
+from krtorus.cli import main
 from krtorus.errors import InvalidInputError
+from krtorus.qcartan import QuantumCartanInverse
 from krtorus.torusmap import (
     TorusMorphism,
     check_kr_label,
@@ -52,6 +54,24 @@ def test_y_value_matches_closed_ratio_type_a():
                 if r > 1:
                     want = want / closed_form_type_a(frame, i, s + 2, r - 1)
                 assert calc.y_value(i, s) == want, (n, i, s)
+
+
+def test_calculators_of_a_type_share_one_table(capsys):
+    monotonic = build_frame("D", 5)
+    oriented = build_frame("D", 5, "2>1,2>3,4>3,3>5", height_anchor=(4, 3))
+    shared = monotonic.datum.qcartan
+    assert TorusMorphism(monotonic).table is shared
+    assert TorusMorphism(oriented).table is shared
+    # ctilde rows come from the same table, which grows to mmax
+    assert main(["ctilde", "--type", "D", "--rank", "5", "1", "5", "40"]) == 0
+    capsys.readouterr()
+    assert len(shared.rows(0)) > 40
+    # a table passed in is the one the calculator reads and grows
+    own = QuantumCartanInverse(monotonic.datum)
+    calc = TorusMorphism(monotonic, table=own)
+    assert calc.table is own
+    assert calc.y_value(1, -6) == TorusMorphism(monotonic).y_value(1, -6)
+    assert len(own.rows(0)) > 2
 
 
 def test_y_value_requires_torus_point(ss):
