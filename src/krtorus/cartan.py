@@ -14,7 +14,6 @@ roots a1..an.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import lru_cache
@@ -77,11 +76,11 @@ def _nakayama(family: str, rank: int):
 
 class DynkinDatum:
     """Diagram, Cartan matrix, path distances, positive roots, their
-    ``RootContext``, the involution ``star`` and the ``qcartan`` table
-    for one simply-laced type.
+    ``RootContext``, the Coxeter number ``h``, the involution ``star`` and
+    the ``qcartan`` table for one simply-laced type.
 
-    Everything is computed in the constructor, so ``build_frame`` shares
-    one datum between all frames of a type; only the table grows after.
+    Everything is computed in the constructor and fixed after, so
+    ``build_frame`` shares one datum between all frames of a type.
     """
 
     def __init__(self, family: str, rank: int):
@@ -103,6 +102,7 @@ class DynkinDatum:
         self._dist = self._distances()
         self._positive_roots = self._root_closure()
         self.root_context = RootContext(self._positive_roots)
+        self.h = 2 * len(self._positive_roots) // rank  # certified by qcartan
         self.star = _nakayama(family, rank)
         self.qcartan = QuantumCartanInverse(self)
 
@@ -356,9 +356,9 @@ class ARFrame:
     The datum, its positive roots and ``root_context`` depend on the type
     alone and are the datum's own, shared by every frame built on it;
     everything else here depends on the orientation.  Immutable after
-    construction apart from its lookup caches.  A lock guards the
-    ``beta_eps`` cache, since library callers may share one frame between
-    calculators; the root-position table is filled once, idempotently.
+    construction: the (root, sign) columns behind ``beta_eps`` hold one
+    period, h pairs per vertex, and the root positions are one dict, both
+    read off the inversion roots of the adapted word.
     """
 
     def __init__(self, datum: DynkinDatum, orientation, anchor=None):
@@ -373,18 +373,15 @@ class ARFrame:
         self.xi = self._heights(anchor)
         self.positive_roots = datum.positive_roots()
         self.N = len(self.positive_roots)
-        if (2 * self.N) % datum.rank:
-            raise InvalidInputError("2N/n is not an integer; bad root data")
-        self.h = 2 * self.N // datum.rank
+        self.h = datum.h
         self._tau_order = self._topological_order()
         self.gamma = self._gammas()
         self.n_letters = self._letter_counts()
-        self.base_word, self.star = self._adapted_word()
+        self.base_word, self.star, roots = self._adapted_word()
         self.root_context = datum.root_context
-        self._beta_cache = {i: [(self.gamma[i], 1)] for i in datum.vertices()}
-        self._beta_lock = threading.Lock()
+        self.beta_columns = self._beta_columns(roots)
+        self._root_position = {beta: t for t, beta in enumerate(roots, 1)}
         self._occ2 = self._occurrences_double_period()
-        self._root_position = None
 
     # -- construction pieces -------------------------------------------
 
@@ -425,7 +422,8 @@ class ARFrame:
         return counts
 
     def _adapted_word(self):
-        """Adapted reduced word of the longest element, and its ``star``.
+        """Adapted reduced word of the longest element, its ``star`` and
+        its inversion roots.
 
         Sweeps the topological order of the orientation over and over,
         dropping each letter once its count is used up.  For the monotonic
@@ -445,28 +443,50 @@ class ARFrame:
             if len(word) == before:
                 break
         word = tuple(word)
-        images = self._word_certified(word) if len(word) == self.N else None
-        if images is None:
+        certified = self._word_certified(word) if len(word) == self.N else None
+        if certified is None:
             raise ConsistencyError("adapted word not certified")
+        roots, images = certified
         datum = self.datum
         for i, img in images.items():
             if img != tuple(-v for v in datum.alpha(datum.star[i])):
                 raise ConsistencyError("adapted word does not represent w0")
-        return word, dict(datum.star)
+        return word, dict(datum.star), roots
 
     def _word_certified(self, word):
-        """The images w(a_j) of the simple roots under the product w of
-        ``word`` if the word is reduced and adapted, else None."""
+        """The inversion roots of ``word`` and the images w(a_j) of the
+        simple roots under its product w if the word is reduced and
+        adapted, else None."""
         try:
-            _, images = _inversion_pass(self.datum, word)
+            roots, images = _inversion_pass(self.datum, word)
         except InvalidInputError:
             return None  # not reduced
-        arrows = set(self.orientation)
+        indeg = {v: len(self.in_arrows[v]) for v in self.datum.vertices()}
         for letter in word:
-            if any(b == letter for _, b in arrows):
+            if indeg[letter]:
                 return None  # not a source at its turn
-            arrows = {(b, a) if letter in (a, b) else (a, b) for a, b in arrows}
-        return images
+            # reflecting at a source turns its arrows round
+            nbrs = self.datum.adjacency[letter]
+            for j in nbrs:
+                indeg[j] -= 1
+            indeg[letter] = len(nbrs)
+        return roots, images
+
+    def _beta_columns(self, roots):
+        """{i: (root, sign) of the points (i, xi_i - 2m), m = 0..h-1}: the
+        inversion roots at the occurrences of i in the adapted word with
+        sign +1, then those of i* with sign -1, one period of row i of the
+        Auslander-Reiten quiver (Hernandez-Leclerc, arXiv:1109.0862)."""
+        by_letter = {i: [] for i in self.datum.vertices()}
+        for letter, beta in zip(self.base_word, roots):
+            by_letter[letter].append(beta)
+        columns = {
+            i: tuple((b, 1) for b in own) + tuple((b, -1) for b in by_letter[self.star[i]])
+            for i, own in by_letter.items()
+        }
+        if any(columns[i][0] != (g, 1) for i, g in self.gamma.items()):
+            raise ConsistencyError("a root column does not start at its gamma")
+        return columns
 
     def _topological_order(self):
         indeg = {v: len(self.in_arrows[v]) for v in self.datum.vertices()}
@@ -584,23 +604,7 @@ class ARFrame:
     def beta_eps(self, i: int, p: int):
         """(positive root, sign) attached to the torus point (i, p)."""
         self.check_point(i, p)
-        m = (self.xi[i] - p) // 2
-        return self.beta_column(i, m)[m]
-
-    def beta_column(self, i: int, depth: int):
-        """The (positive root, sign) pairs of the points (i, xi_i - 2m),
-        filled at least to m = ``depth``.  The list only grows."""
-        cache = self._beta_cache[i]
-        if len(cache) <= depth:
-            with self._beta_lock:
-                while len(cache) <= depth:
-                    root, eps = cache[-1]
-                    img = self.coxeter(root)
-                    if is_positive(img):
-                        cache.append((img, eps))
-                    else:
-                        cache.append((tuple(-v for v in img), -eps))
-        return cache
+        return self.beta_columns[i][(self.xi[i] - p) // 2 % self.h]
 
     def beta_at(self, t: int):
         """Positive root attached to word position t."""
@@ -608,8 +612,6 @@ class ARFrame:
 
     def root_position(self, root) -> int:
         """Position t in 1..N with beta_t = root (the convex order)."""
-        if self._root_position is None:
-            self._root_position = {self.beta_at(t): t for t in range(1, self.N + 1)}
         return self._root_position[tuple(root)]
 
     # -- bilinear forms ---------------------------------------------------------

@@ -27,9 +27,9 @@ from .torusmap import TorusMorphism, parse_monomial
 __all__ = ["main"]
 
 # Size limits, chosen so that every accepted input finishes within
-# seconds: on a 2-core VM, ctilde up to m = 10000 takes 2.0-2.3 s on A14
-# and D14 (its cost grows with the square of the rank), and a seed on a
-# window of 1000 0.2-0.7 s on A2, A14, D14 and E8 (its cost grows with the
+# seconds: on a 2-core VM, ctilde up to m = 10000 takes 0.04 s in process
+# on A14, D14 and E8 (it reads one stored period of the table), and a seed
+# on a window of 1000 0.2-0.7 s on A2, A14, D14 and E8 (its cost grows with the
 # square of the window).  verify --tmax 1000 takes 0.9-1.1 s for
 # properties and 0.4-1.0 s for periodicity on A2, A14, D14 and E8 (both
 # grow with the square of tmax), and verify --count 100 takes 1.1-2.8 s

@@ -8,10 +8,9 @@ evaluated here (exactly, no rational intermediates).
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING
 
-from .errors import InvalidInputError
+from .errors import ConsistencyError, InvalidInputError
 
 if TYPE_CHECKING:
     from .cartan import ARFrame, DynkinDatum
@@ -20,46 +19,36 @@ __all__ = ["QuantumCartanInverse", "pairing_value"]
 
 
 class QuantumCartanInverse:
-    """Memoized table of series coefficients, filled level by level in m.
+    """One period of series coefficients, built in the constructor.
 
     coeff(i, j, m) is 0 for m <= 0, the identity at m = 1, and satisfies
     coeff(i, j, m+1) = sum over k adjacent to j of coeff(i, k, m)
-    minus coeff(i, j, m-1).  The table is a pure function of the diagram:
-    each ``DynkinDatum`` holds one, ``datum.qcartan``, for all its users.
-    A lock guards the growing rows, since library callers may share one
-    table between calculators.
+    minus coeff(i, j, m-1).  The coefficients repeat with period 2h, h the
+    Coxeter number: the constructor runs the recurrence to m = 2h + 1 and
+    certifies that rows 2h and 2h + 1 equal rows 0 and 1, which, the
+    recurrence being two-step, proves the period for every m.  It keeps
+    ``rows``, the 2h rows m = 0..2h-1, each one flat tuple:
+    ``rows[m % period][(i-1)*n + j-1]`` is coeff(i, j, m) for m >= 1.
+    The table is a pure function of the diagram: each ``DynkinDatum``
+    holds one, ``datum.qcartan``, for all its users.
     """
 
     def __init__(self, datum: DynkinDatum):
         self.datum = datum
         n = datum.rank
-        zero = (0,) * (n * n)
-        ident = tuple(int(i == j) for i in range(n) for j in range(n))
-        self._rows = [zero, ident]
-        self._lock = threading.Lock()
-
-    def rows(self, m: int):
-        """The rows filled at least to ``m``, each one flat tuple:
-        ``rows(m)[k][(i-1)*n + j-1]`` is coeff(i, j, k) for 0 <= k <= m.
-        The list only grows."""
-        if len(self._rows) <= m:
-            with self._lock:
-                self._extend_locked(m)
-        return self._rows
-
-    def _extend_locked(self, m: int):
-        datum = self.datum
-        n = datum.rank
+        self.period = 2 * datum.h
         adjacent = [[k - 1 for k in datum.adjacency[j]] for j in datum.vertices()]
-        while len(self._rows) <= m:
-            prev = self._rows[-1]
-            prev2 = self._rows[-2]
-            nxt = tuple(
+        rows = [(0,) * (n * n), tuple(int(i == j) for i in range(n) for j in range(n))]
+        while len(rows) < self.period + 2:
+            prev, prev2 = rows[-1], rows[-2]
+            rows.append(tuple(
                 sum(prev[row + k] for k in ks) - prev2[row + j]
                 for row in range(0, n * n, n)
                 for j, ks in enumerate(adjacent)
-            )
-            self._rows.append(nxt)
+            ))
+        if rows[-2:] != rows[:2]:
+            raise ConsistencyError(f"coefficients do not repeat with period {self.period}")
+        self.rows = tuple(rows[: self.period])
 
     def coeff(self, i: int, j: int, m: int) -> int:
         n = self.datum.rank
@@ -67,7 +56,7 @@ class QuantumCartanInverse:
             raise InvalidInputError(f"vertex pair ({i},{j}) out of range")
         if m <= 0:
             return 0
-        return self.rows(m)[m][(i - 1) * n + j - 1]
+        return self.rows[m % self.period][(i - 1) * n + j - 1]
 
 
 def pairing_value(table: QuantumCartanInverse, frame: ARFrame, a, b) -> int:

@@ -199,11 +199,14 @@ def suite_ctilde(frame, **_):
         for m in range(1, 2 * frame.h + 1)
     )
     res.check(sym_ok, "table is symmetric")
+    # The table stores one period, so comparing m with m + 2h would read
+    # one row twice.  The half-period identity c(i, j, m+h) = -c(i, j*, m)
+    # is not built in, and implies the 2h period since * is an involution.
     period_ok = all(
-        table.coeff(i, j, m + 2 * frame.h) == table.coeff(i, j, m)
+        table.coeff(i, j, m + frame.h) == -table.coeff(i, datum.star[j], m)
         for i in datum.vertices()
         for j in datum.vertices()
-        for m in range(1, 2 * frame.h + 1)
+        for m in range(1, frame.h + 1)
     )
     res.check(period_ok, "coefficients repeat with period 2h")
     window_ok = True

@@ -50,10 +50,9 @@ class TorusMorphism:
 
     Holds the coefficient table and memo caches; all methods are pure
     functions of (frame, label).  Without a ``table`` argument it reads
-    the type's one table, ``frame.datum.qcartan``.  The package starts no
-    threads.  The frame and the table, which library callers may share
-    between calculators, each guard their cache with a lock; the
-    calculator's own memos are plain dicts.
+    the type's one table, ``frame.datum.qcartan``.  The frame and the
+    table are fixed after construction, so library callers may share them
+    between calculators; the calculator's own memos are plain dicts.
     """
 
     def __init__(self, frame: ARFrame, table: QuantumCartanInverse | None = None):
@@ -100,20 +99,20 @@ class TorusMorphism:
         m = s - p + 1 and a ``lag`` of None drops the first term.  (i, p)
         must be a torus point."""
         frame = self.frame
-        xi = frame.xi
-        rows = self.table.rows(max(xi.values()) - p + 1)
+        xi, h = frame.xi, frame.h
+        rows, period = self.table.rows, self.table.period
         row_i = (i - 1) * frame.datum.rank - 1
         fac = {}
         for j in frame.datum.vertices():
             top = xi[j]
             at = row_i + j
-            column = frame.beta_column(j, (top - p) // 2)
+            column = frame.beta_columns[j]
             for m in range(top - p + 1, 0, -2):
-                e = rows[m][at]
+                e = rows[m % period][at]
                 if lag is not None and m > lag:
-                    e -= rows[m - lag][at]
+                    e -= rows[(m - lag) % period][at]
                 if e:
-                    root = column[(top - p + 1 - m) // 2][0]
+                    root = column[(top - p + 1 - m) // 2 % h][0]
                     fac[root] = fac.get(root, 0) - e
         return self.ctx.root_product(fac)
 

@@ -23,8 +23,10 @@ from krtorus.cartan import (
 from krtorus.errors import InvalidInputError
 
 from oracles import (
+    coxeter_columns,
     coxeter_orbit_lengths,
     dense_reflect,
+    is_adapted,
     longest_word_involution,
     weyl_positive_roots,
 )
@@ -212,7 +214,9 @@ def test_word_is_reduced_and_letters_match_counts(d4, e6):
 def test_sweep_word_certified_for_every_orientation():
     # The sweep in ARFrame._adapted_word is the only construction of the
     # adapted word; it must certify on every orientation, not only q0.
-    frames = 0
+    # Braid-shuffled words of w0 check the adaptedness test both ways.
+    frames, verdicts = 0, set()
+    rng = random.Random(11)
     for family, ranks in (("A", range(1, 7)), ("D", range(4, 7)), ("E", (6,))):
         for rank in ranks:
             edges = DynkinDatum(family, rank).edges
@@ -221,8 +225,13 @@ def test_sweep_word_certified_for_every_orientation():
                 frame = build_frame(family, rank, arrows)
                 assert len(frame.base_word) == frame.N
                 assert frame._word_certified(frame.base_word)
+                word = braid_shuffle(frame.datum, frame.base_word, 4, rng)
+                adapted = is_adapted(frame.orientation, word)
+                assert (frame._word_certified(word) is not None) == adapted
+                verdicts.add(adapted)
                 frames += 1
     assert frames == 151
+    assert verdicts == {False, True}
 
 
 def test_star_is_an_involution(a3_sink_source, d4, d5, e6):
@@ -260,6 +269,17 @@ def test_row_lengths_and_star_match_reflections(frame):
     cartan = frame.datum.cartan
     assert frame.n_letters == coxeter_orbit_lengths(cartan, frame.orientation)
     assert frame.star == longest_word_involution(cartan, frame.base_word)
+
+
+@given(frame=oriented_frames())
+@settings(max_examples=60, deadline=None)
+def test_beta_eps_matches_dense_coxeter_iteration(frame):
+    # three periods deep, read from columns that hold one period each
+    columns = coxeter_columns(frame.datum.cartan, frame.orientation, 3 * frame.h)
+    for i, column in columns.items():
+        for m, pair in enumerate(column):
+            assert frame.beta_eps(i, frame.xi[i] - 2 * m) == pair
+    assert all(len(column) == frame.h for column in frame.beta_columns.values())
 
 
 def test_coxeter_orbit_covers_positive_roots(a3_sink_source, d4, e6):

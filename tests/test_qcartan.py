@@ -36,20 +36,34 @@ def test_nonpositive_orders_vanish():
         table.coeff(0, 1, 2)
 
 
-@pytest.mark.parametrize(
-    "family,rank",
-    [("A", n) for n in range(1, 9)]
-    + [("D", n) for n in range(4, 9)]
-    + [("E", n) for n in (6, 7, 8)],
+ALL_TYPES = (
+    [("A", n) for n in range(1, 15)]
+    + [("D", n) for n in range(4, 15)]
+    + [("E", n) for n in (6, 7, 8)]
 )
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_against_series_inversion_oracle(family, rank):
+    # three periods, read from a table that holds one
     datum = DynkinDatum(family, rank)
     table = QuantumCartanInverse(datum)
-    oracle = series_inverse_coeffs(datum.adjacency, rank, 40)
-    for m in range(1, 41):
+    oracle = series_inverse_coeffs(datum.adjacency, rank, 3 * datum.h)
+    for m in range(1, 3 * datum.h + 1):
         for i in range(1, rank + 1):
             for j in range(1, rank + 1):
                 assert table.coeff(i, j, m) == oracle[m][i - 1][j - 1], (i, j, m)
+    assert len(table.rows) == 2 * datum.h
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_half_period_identity(family, rank):
+    datum = DynkinDatum(family, rank)
+    table = datum.qcartan
+    for i in datum.vertices():
+        for j in datum.vertices():
+            for m in range(1, datum.h + 1):
+                assert table.coeff(i, j, m + datum.h) == -table.coeff(i, datum.star[j], m)
 
 
 @pytest.mark.parametrize(

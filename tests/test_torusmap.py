@@ -62,16 +62,17 @@ def test_calculators_of_a_type_share_one_table(capsys):
     shared = monotonic.datum.qcartan
     assert TorusMorphism(monotonic).table is shared
     assert TorusMorphism(oriented).table is shared
-    # ctilde rows come from the same table, which grows to mmax
-    assert main(["ctilde", "--type", "D", "--rank", "5", "1", "5", "40"]) == 0
+    # ctilde rows come from the same table, which keeps one period of 2h rows
+    assert main(["ctilde", "--type", "D", "--rank", "5", "1", "5", "10000"]) == 0
     capsys.readouterr()
-    assert len(shared.rows(0)) > 40
-    # a table passed in is the one the calculator reads and grows
+    assert len(shared.rows) == 2 * monotonic.h
+    # a table passed in is the one the calculator reads, fixed in size too
     own = QuantumCartanInverse(monotonic.datum)
     calc = TorusMorphism(monotonic, table=own)
     assert calc.table is own
     assert calc.y_value(1, -6) == TorusMorphism(monotonic).y_value(1, -6)
-    assert len(own.rows(0)) > 2
+    calc.y_value(1, monotonic.xi[1] - 6 * monotonic.h)  # depth 3h
+    assert len(own.rows) == 2 * monotonic.h
 
 
 def test_y_value_requires_torus_point(ss):
