@@ -14,7 +14,6 @@ roots a1..an.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import lru_cache
 
@@ -29,8 +28,6 @@ __all__ = [
     "braid_moves",
     "braid_shuffle",
     "build_frame",
-    "finite_t_minus",
-    "finite_t_plus",
     "inversion_roots",
     "is_dominant_minuscule",
     "is_fully_commutative",
@@ -296,34 +293,26 @@ def braid_shuffle(datum: DynkinDatum, word, steps: int, rng):
     return word
 
 
-def finite_t_plus(word, t: int):
-    """Next position of letter word[t-1] within the word, or None."""
-    for s in range(t, len(word)):
-        if word[s] == word[t - 1]:
-            return s + 1
-    return None
-
-
-def finite_t_minus(word, t: int) -> int:
-    """Previous position of letter word[t-1], with 0 when there is none."""
-    for s in range(t - 2, -1, -1):
-        if word[s] == word[t - 1]:
-            return s + 1
-    return 0
+def _neighbour_gaps(datum: DynkinDatum, word):
+    """One pass over a reduced word: the number of neighbour letters
+    between each pair of consecutive occurrences of a letter, and the
+    number after the last occurrence of each letter, as (gaps, tails)."""
+    inversion_roots(datum, word)
+    since, gaps = {}, []
+    for letter in word:
+        if letter in since:
+            gaps.append(since[letter])
+        since[letter] = 0
+        for j in datum.adjacency[letter]:
+            if j in since:
+                since[j] += 1
+    return gaps, since.values()
 
 
 def is_fully_commutative(datum: DynkinDatum, word) -> bool:
     """Between consecutive occurrences of a letter, at least two neighbours."""
-    inversion_roots(datum, word)
-    for t in range(1, len(word) + 1):
-        tp = finite_t_plus(word, t)
-        if tp is not None:
-            between = sum(
-                1 for s in range(t, tp - 1) if word[s] in datum.adjacency[word[t - 1]]
-            )
-            if between < 2:
-                return False
-    return True
+    gaps, _ = _neighbour_gaps(datum, word)
+    return all(g >= 2 for g in gaps)
 
 
 def is_dominant_minuscule(datum: DynkinDatum, word) -> bool:
@@ -332,19 +321,8 @@ def is_dominant_minuscule(datum: DynkinDatum, word) -> bool:
     This is Stembridge's reduced-word criterion for dominant minuscule
     elements, specialized to the simply-laced case.
     """
-    inversion_roots(datum, word)
-    for t in range(1, len(word) + 1):
-        tp = finite_t_plus(word, t)
-        nbrs = datum.adjacency[word[t - 1]]
-        if tp is not None:
-            between = sum(1 for s in range(t, tp - 1) if word[s] in nbrs)
-            if between != 2:
-                return False
-        else:
-            after = sum(1 for s in range(t, len(word)) if word[s] in nbrs)
-            if after > 1:
-                return False
-    return True
+    gaps, tails = _neighbour_gaps(datum, word)
+    return all(g == 2 for g in gaps) and all(a <= 1 for a in tails)
 
 
 # -- the frame ----------------------------------------------------------------
@@ -356,9 +334,9 @@ class ARFrame:
     The datum, its positive roots and ``root_context`` depend on the type
     alone and are the datum's own, shared by every frame built on it;
     everything else here depends on the orientation.  Immutable after
-    construction: the (root, sign) columns behind ``beta_eps`` hold one
-    period, h pairs per vertex, and the root positions are one dict, both
-    read off the inversion roots of the adapted word.
+    construction; each table holds one period: the letters of the infinite
+    word with their depths and the positions of each vertex, the (root,
+    sign) columns behind ``beta_eps`` and the root positions.
     """
 
     def __init__(self, datum: DynkinDatum, orientation, anchor=None):
@@ -381,7 +359,7 @@ class ARFrame:
         self.root_context = datum.root_context
         self.beta_columns = self._beta_columns(roots)
         self._root_position = {beta: t for t, beta in enumerate(roots, 1)}
-        self._occ2 = self._occurrences_double_period()
+        self._letters, self._depths, self._positions = self._period_tables()
 
     # -- construction pieces -------------------------------------------
 
@@ -521,24 +499,36 @@ class ARFrame:
             )
         return gammas
 
-    def _occurrences_double_period(self):
-        occ = {i: [] for i in self.datum.vertices()}
-        for t in range(1, 2 * self.N + 1):
-            occ[self.letter(t)].append(t)
-        for i, lst in occ.items():
-            if len(lst) != self.h:
-                raise InvalidInputError("letter frequencies break the 2N period")
-        return occ
+    def _period_tables(self):
+        """One period of the infinite word: its 2N letters (the adapted word,
+        then its image under ``star``), their depths (earlier occurrences of
+        the letter) and each vertex's h positions.  Position t is the point
+        (i, xi_i - 2d) when t = b * 2N + positions[i][r], d = b * h + r."""
+        letters = self.base_word + tuple(self.star[v] for v in self.base_word)
+        positions = {i: [] for i in self.datum.vertices()}
+        depths = []
+        for t, v in enumerate(letters, 1):
+            depths.append(len(positions[v]))
+            positions[v].append(t)
+        return letters, depths, positions
 
     # -- the infinite word ------------------------------------------------
 
-    def letter(self, t: int) -> int:
-        """t-th letter (1-based) of the infinite adapted word."""
+    def _letter_depth(self, t: int):
+        """(letter, depth) at word position t."""
         if t < 1:
             raise InvalidInputError("word positions start at 1")
-        k = (t - 1) % self.N
-        base = self.base_word[k]
-        return base if ((t - 1) // self.N) % 2 == 0 else self.star[base]
+        blocks, k = divmod(t - 1, 2 * self.N)
+        return self._letters[k], blocks * self.h + self._depths[k]
+
+    def _position(self, i: int, depth: int) -> int:
+        """Word position of the point of vertex i at the given depth."""
+        blocks, r = divmod(depth, self.h)
+        return blocks * 2 * self.N + self._positions[i][r]
+
+    def letter(self, t: int) -> int:
+        """t-th letter (1-based) of the infinite adapted word."""
+        return self._letter_depth(t)[0]
 
     def coxeter(self, vec):
         """Coxeter transformation adapted to the orientation."""
@@ -568,36 +558,22 @@ class ARFrame:
     def phi(self, i: int, p: int) -> int:
         """Position of (i, p) in the infinite word."""
         self.check_point(i, p)
-        m = (self.xi[i] - p + 2) // 2
-        blocks, rem = divmod(m - 1, self.h)
-        return blocks * 2 * self.N + self._occ2[i][rem]
+        return self._position(i, (self.xi[i] - p) // 2)
 
     def phi_inv(self, t: int):
         """Torus point at word position t."""
-        if t < 1:
-            raise InvalidInputError("word positions start at 1")
-        i = self.letter(t)
-        blocks, pos = divmod(t - 1, 2 * self.N)
-        count = blocks * self.h + bisect_right(self._occ2[i], pos + 1)
-        return (i, self.xi[i] - 2 * count + 2)
+        i, depth = self._letter_depth(t)
+        return (i, self.xi[i] - 2 * depth)
 
     def t_plus(self, t: int) -> int:
-        i = self.letter(t)
-        blocks, pos = divmod(t - 1, 2 * self.N)
-        idx = bisect_right(self._occ2[i], pos + 1)
-        if idx < len(self._occ2[i]):
-            return blocks * 2 * self.N + self._occ2[i][idx]
-        return (blocks + 1) * 2 * self.N + self._occ2[i][0]
+        """Next position of the letter at t."""
+        i, depth = self._letter_depth(t)
+        return self._position(i, depth + 1)
 
     def t_minus(self, t: int) -> int:
-        i = self.letter(t)
-        blocks, pos = divmod(t - 1, 2 * self.N)
-        idx = bisect_left(self._occ2[i], pos + 1) - 1
-        if idx >= 0:
-            return blocks * 2 * self.N + self._occ2[i][idx]
-        if blocks > 0:
-            return (blocks - 1) * 2 * self.N + self._occ2[i][-1]
-        return 0
+        """Previous position of the letter at t, with 0 when there is none."""
+        i, depth = self._letter_depth(t)
+        return self._position(i, depth - 1) if depth else 0
 
     # -- roots and signs ------------------------------------------------------
 

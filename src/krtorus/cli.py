@@ -18,6 +18,7 @@ from .cuspidal import (
     cuspidal_value,
     standard_seed_minors,
     weight_sum,
+    weight_sum_size,
 )
 from .errors import InvalidInputError
 from .field.rational import form_str
@@ -27,19 +28,21 @@ from .torusmap import TorusMorphism, parse_monomial
 __all__ = ["main"]
 
 # Size limits, chosen so that every accepted input finishes within
-# seconds: on a 2-core VM, ctilde up to m = 10000 takes 0.04 s in process
-# on A14, D14 and E8 (it reads one stored period of the table), and a seed
-# on a window of 1000 0.2-0.7 s on A2, A14, D14 and E8 (its cost grows with the
-# square of the window).  verify --tmax 1000 takes 0.9-1.1 s for
-# properties and 0.4-1.0 s for periodicity on A2, A14, D14 and E8 (both
-# grow with the square of tmax), and verify --count 100 takes 1.1-2.8 s
-# for flagminors on A14, E8 and D14 and 0.4 s for schurweyl on A14 (both
-# grow linearly with the count).
+# seconds: on a 2-core VM, in process, ctilde up to m = 10000 takes 0.04 s
+# on A14, D14 and E8 (it reads one stored period of the table); a seed on
+# a window of 1000 takes 0.02-0.36 s and verify --tmax 1000 0.01-0.36 s
+# for properties and periodicity on A2, A14, D14 and E8 (linear in the
+# window or tmax); verify --count 100 takes 1.1-3.1 s for flagminors on
+# A14, E8 and D14 and 0.8 s for schurweyl on A14 (linear in the count).
+# For dbar-weights, see ``weight_sum_size``: at its bounds a search over
+# shuffled words took at most 1.8 s.  dtilde-y reads depth modulo h.
 MAX_MMAX = 10000
 MAX_WINDOW = 1000
 MAX_RANK = 14
 MAX_TMAX = 1000
 MAX_COUNT = 100
+MAX_WEIGHT_DEGREE = 64
+MAX_WEIGHT_TERMS = 20000
 
 
 def _add_frame_args(cmd):
@@ -271,6 +274,13 @@ def _run(args) -> int:
             entries = [(tuple(e["word"]), int(e["dim"])) for e in json.loads(raw)]
         except (ValueError, KeyError, TypeError) as exc:
             raise InvalidInputError(f"bad weight data: {exc}") from exc
+        degree, terms = weight_sum_size(frame, (word for word, _ in entries))
+        if degree > MAX_WEIGHT_DEGREE or terms > MAX_WEIGHT_TERMS:
+            raise InvalidInputError(
+                f"weight data too large: the common denominator has degree {degree} "
+                f"(at most {MAX_WEIGHT_DEGREE}) and {terms} monomials of that degree "
+                f"(at most {MAX_WEIGHT_TERMS})"
+            )
         _emit_value(weight_sum(frame, entries), fmt)
         return 0
 

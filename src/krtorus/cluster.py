@@ -134,29 +134,26 @@ def initial_seed(calc: TorusMorphism, window: int, specialize_frozen: bool = Fal
 
     Vertical arrows t+ -> t; oblique arrows k -> l whenever the letters
     at k and l are adjacent and k < l < k+ < l+ with k+ inside the
-    window.  Frozen vertices are those whose next occurrence falls
-    outside the window; with ``specialize_frozen`` their values become 1
-    (the quotient in which the full-period classes are units).
+    window.  For k = phi(i, p) these are the arrows to l = phi(j, p - 1),
+    one per neighbour j of i.  Frozen vertices are those whose next
+    occurrence falls outside the window; with ``specialize_frozen`` their
+    values become 1 (the quotient in which the full-period classes are
+    units).
     """
     if window < 1:
         raise InvalidInputError("window must contain at least vertex 1")
     frame = calc.frame
     arrows = Counter()
+    frozen = set()
     for t in range(1, window + 1):
-        tp = frame.t_plus(t)
-        if tp <= window:
-            arrows[(tp, t)] += 1
-    for k in range(1, window + 1):
-        kp = frame.t_plus(k)
-        if kp > window:
+        i, p = frame.phi_inv(t)
+        tp = frame.phi(i, p - 2)
+        if tp > window:
+            frozen.add(t)
             continue
-        nbrs = frame.datum.adjacency[frame.letter(k)]
-        for l in range(k + 1, min(kp, window + 1)):
-            if frame.letter(l) in nbrs and kp < frame.t_plus(l):
-                arrows[(k, l)] += 1
-    frozen = frozenset(
-        t for t in range(1, window + 1) if frame.t_plus(t) > window
-    )
+        arrows[(tp, t)] += 1
+        for j in frame.datum.adjacency[i]:
+            arrows[(t, frame.phi(j, p - 1))] += 1
     values = {}
     for t in range(1, window + 1):
         if specialize_frozen and t in frozen:

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, gcd
 
 from .cartan import (
     ARFrame,
-    finite_t_minus,
-    finite_t_plus,
     inversion_roots,
     is_dominant_minuscule,
     q0_orientation,
@@ -36,6 +34,7 @@ __all__ = [
     "minimal_pair",
     "standard_seed_minors",
     "weight_sum",
+    "weight_sum_size",
 ]
 
 
@@ -45,21 +44,52 @@ __all__ = [
 def _word_weight(datum, word):
     wt = [0] * datum.rank
     for letter in word:
-        if not 1 <= letter <= datum.rank:
-            raise InvalidInputError(f"letter {letter} outside 1..{datum.rank}")
+        if not isinstance(letter, int) or not 1 <= letter <= datum.rank:
+            raise InvalidInputError(f"letter {letter!r} outside 1..{datum.rank}")
         wt[letter - 1] += 1
     return tuple(wt)
 
 
-def _prefix_form_value(frame, word):
-    """1 / (a_{j1} (a_{j1}+a_{j2}) ... (a_{j1}+...+a_{jd}))."""
-    n = frame.datum.rank
-    pairs = []
+def _prefix_forms(n, word):
+    """The forms a_{j1}, a_{j1}+a_{j2}, ..., a_{j1}+...+a_{jd} of a word."""
     acc = [0] * n
+    forms = []
     for letter in word:
         acc[letter - 1] += 1
-        pairs.append((tuple(acc), -1))
-    return frame.root_context.from_root_factors(pairs)
+        forms.append(tuple(acc))
+    return forms
+
+
+def _prefix_form_value(frame, word):
+    """1 / (a_{j1} (a_{j1}+a_{j2}) ... (a_{j1}+...+a_{jd}))."""
+    forms = _prefix_forms(frame.datum.rank, word)
+    return frame.root_context.from_root_factors((f, -1) for f in forms)
+
+
+def weight_sum_size(frame: ARFrame, words):
+    """(D, terms) for the words of weight data, read from the words alone
+    before any arithmetic: D is the degree of the common denominator of
+    the summands of ``weight_sum``, the product of the distinct root forms
+    among the prefix forms of all words and of the distinct residual
+    denominators (one per multiset of the other prefix forms, made
+    primitive), and terms is the number of monomials of degree D in the n
+    root variables.  The expanded numerator and the residual denominator
+    of the sum have degree at most D, so at most that many terms each."""
+    n = frame.datum.rank
+    roots, residuals = set(), set()
+    for word in words:
+        _word_weight(frame.datum, word)
+        rest = []
+        for form in _prefix_forms(n, word):
+            g = gcd(*form)
+            form = tuple(c // g for c in form)
+            if form in frame.root_context.root_set:
+                roots.add(form)
+            else:
+                rest.append(form)
+        residuals.add(tuple(sorted(rest)))
+    degree = len(roots) + sum(len(rest) for rest in residuals)
+    return degree, comb(degree + n - 1, n - 1)
 
 
 def weight_sum(frame: ARFrame, entries) -> RootRational:
@@ -285,9 +315,10 @@ class FlagMinorTable:
 def standard_seed_minors(frame: ARFrame, word=None) -> FlagMinorTable:
     """Run the seed recursion P_j * P_(j-) = beta_j * prod of neighbours.
 
-    Works for any reduced word of the longest element, not only adapted
-    ones.  Every P_j must come out as a plain product of positive roots;
-    anything else signals a broken invariant.
+    The neighbours' P and P_(j-) are read from one map of each letter's
+    latest P, kept along the word.  Works for any reduced word of the
+    longest element, not only adapted ones.  Every P_j must come out as a
+    plain product of positive roots; anything else signals a broken invariant.
     """
     word = tuple(word) if word is not None else frame.base_word
     if len(word) != frame.N:
@@ -297,17 +328,13 @@ def standard_seed_minors(frame: ARFrame, word=None) -> FlagMinorTable:
     betas = inversion_roots(frame.datum, word)  # also certifies reducedness
     ctx = frame.root_context
     products = []
-    for j in range(1, frame.N + 1):
-        p = ctx.from_root_factors([(betas[j - 1], +1)])
-        for l in range(1, j):
-            lp = finite_t_plus(word, l)
-            if (lp is None or lp > j) and word[l - 1] in frame.datum.adjacency[
-                word[j - 1]
-            ]:
-                p = p * products[l - 1]
-        jm = finite_t_minus(word, j)
-        if jm:
-            p = p / products[jm - 1]
+    latest = {}  # letter -> P at its latest position so far
+    for j, (letter, beta) in enumerate(zip(word, betas), 1):
+        pairs = [(ctx.root_product({beta: 1}), 1)]
+        pairs += [(latest[k], 1) for k in frame.datum.adjacency[letter] if k in latest]
+        if letter in latest:
+            pairs.append((latest[letter], -1))
+        p = ctx.product_over(pairs)
         if not p.is_factored() or p.unit != 1 or any(
             e < 0 for e in p.root_factors.values()
         ):
@@ -315,6 +342,7 @@ def standard_seed_minors(frame: ARFrame, word=None) -> FlagMinorTable:
                 f"P_{j} is not a product of positive roots: {p}"
             )
         products.append(p)
+        latest[letter] = p
     return FlagMinorTable(word=word, products=products)
 
 

@@ -66,11 +66,12 @@ class TorusMorphism:
     # -- generators ------------------------------------------------------
 
     def y_value(self, i: int, p: int) -> RootRational:
-        """Image of the variable Y[i,p]; always a product of root powers."""
+        """Image of the variable Y[i,p]; always a product of root powers.
+        Read at depth modulo h (see ``initial_value``)."""
         self.frame.check_point(i, p)
-        key = (i, p)
+        key = (i, (self.frame.xi[i] - p) // 2 % self.frame.h)
         if key not in self._y_cache:
-            self._y_cache[key] = self._window_product(i, p, 2)
+            self._y_cache[key] = self._window_product(i, self.frame.xi[i] - 2 * key[1], 2)
         return self._y_cache[key]
 
     def monomial_value(self, mono) -> RootRational:
@@ -86,9 +87,21 @@ class TorusMorphism:
         Computed by the direct product over the torus window with
         exponents -coeff(i, j, s-p+1); the T-system route gives the same
         value and the tests pin that down.
+
+        Values repeat with period 2N in t, so t is read modulo 2N.  F(i, p),
+        this product at (i, p), telescopes to the product of the y-values
+        from p up to the top: y(i, p) = F(i, p) / F(i, p + 2), F(i, xi_i + 2)
+        = 1.  The coefficients have period 2h in m, so F(i, p - 2h) =
+        F(i, p) * G(i, p), G the product over the 2h levels p - 2h <= s < p
+        of the roots of (j, s) to the powers -coeff(i, j, s - p + 2h + 1).
+        G depends on p only through its depth mod h (the root columns have
+        period h) and is 1 on all n * h strips (the periodicity suite checks
+        it), so F and y repeat when the depth grows by h; y at the top also
+        uses that the full-period class F(i, xi_i - 2h + 2) is 1.
         """
         if t < 1:
             raise InvalidInputError("cluster positions start at 1")
+        t = (t - 1) % (2 * self.frame.N) + 1
         if t not in self._initial_cache:
             self._initial_cache[t] = self._window_product(*self.frame.phi_inv(t), None)
         return self._initial_cache[t]
@@ -277,6 +290,7 @@ def check_value_properties(calc: TorusMorphism, t_max: int) -> PropertyReport:
     values = {0: calc.ctx.one()}
     for t in range(1, t_max + 1):
         values[t] = calc.initial_value(t)
+    latest = {}  # letter -> its latest position so far
     for t in range(1, t_max + 1):
         report.checked += 1
         val = values[t]
@@ -297,15 +311,15 @@ def check_value_properties(calc: TorusMorphism, t_max: int) -> PropertyReport:
                             f"multiplicity {-e} of {form_str(beta)} != "
                             f"|<beta_t, beta>| = {expected}",
                         )
-        # Property B
+        # Property B: each r is the latest position of a neighbour letter
         i_t = frame.letter(t)
-        lhs = val * values[frame.t_minus(t)]
+        lhs = val * values[latest.get(i_t, 0)]
         rhs = calc.ctx.from_root_factors([(beta_t, -1)])
-        for r in range(1, t):
-            if frame.letter(r) in frame.datum.adjacency[i_t] and frame.t_plus(r) > t:
-                rhs = rhs * values[r]
+        for r in sorted(latest[j] for j in frame.datum.adjacency[i_t] if j in latest):
+            rhs = rhs * values[r]
         if lhs != rhs:
             report.add("B", t, f"{lhs} != {rhs}")
+        latest[i_t] = t
         # Property C
         yv = calc.y_value(*frame.phi_inv(t))
         for beta, e in yv.root_factors.items():

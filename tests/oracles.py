@@ -1,9 +1,11 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the production code paths: root systems are
-enumerated by closing the simple roots under all reflections, and the
-coefficient table is recomputed by generic truncated power-series
-inversion of the deformed Cartan matrix.
+These deliberately avoid the production code paths and import nothing
+from the package: root systems are enumerated by closing the simple roots
+under all reflections, the coefficient table is recomputed by generic
+truncated power-series inversion of the deformed Cartan matrix, word
+positions are found by scanning an explicitly built piece of the infinite
+word, and torus values are products over the whole window.
 """
 
 
@@ -154,3 +156,155 @@ def is_adapted(arrows, word):
             return False
         arrows = {(b, a) if letter in (a, b) else (a, b) for a, b in arrows}
     return True
+
+
+# -- the infinite word, scanned ---------------------------------------------
+
+
+def infinite_word(base_word, star, length):
+    """The first ``length`` letters of the infinite adapted word: the base
+    word, then its image under ``star``, over and over."""
+    flipped = [star[v] for v in base_word]
+    word = []
+    while len(word) < length:
+        word += list(base_word) + flipped
+    return word[:length]
+
+
+def scanned_positions(word, xi):
+    """{t: (letter, torus point, next position, previous position)} for
+    every position t of a finite piece of the infinite word, read by
+    scanning it: the point of t is (i, xi_i - 2 * number of earlier i's);
+    the next position is None past the end and the previous one 0."""
+    seen, last, out = {}, {}, {}
+    for t, i in enumerate(word, 1):
+        depth = seen.get(i, 0)
+        seen[i] = depth + 1
+        out[t] = [i, (i, xi[i] - 2 * depth), None, last.get(i, 0)]
+        if i in last:
+            out[last[i]][2] = t
+        last[i] = t
+    return {t: tuple(v) for t, v in out.items()}
+
+
+def scanning_seed(word, adjacency, window):
+    """(sorted arrows, frozen set) of the initial seed on positions
+    1..window: vertical arrows t+ -> t, and oblique arrows k -> l for
+    adjacent letters with k < l < k+ < l+ and k+ in the window, found by
+    scanning every l between k and k+.  ``word`` must reach past the next
+    occurrence of every letter in the window."""
+    nxt = {t: _next_position(word, t) for t in range(1, window + 1)}
+    arrows = {}
+    for t in range(1, window + 1):
+        if nxt[t] <= window:
+            arrows[nxt[t], t] = arrows.get((nxt[t], t), 0) + 1
+    for k in range(1, window + 1):
+        kp = nxt[k]
+        if kp > window:
+            continue
+        for l in range(k + 1, kp):
+            if word[l - 1] in adjacency[word[k - 1]] and kp < _next_position(word, l):
+                arrows[k, l] = arrows.get((k, l), 0) + 1
+    frozen = {t for t in range(1, window + 1) if nxt[t] > window}
+    return tuple(sorted((a, b, m) for (a, b), m in arrows.items())), frozen
+
+
+# -- torus values from the coefficient series -------------------------------
+
+
+def window_exponents(coeffs, columns, xi, i, p, lag):
+    """{root: exponent} of the product over the torus points (j, s) with
+    s >= p of root(j, s) to the power -(c(m) - c(m - lag)), m = s - p + 1,
+    c(m) = coeffs[m][i-1][j-1] and c(m) = 0 for m < 1; a ``lag`` of None
+    drops the second term.  ``columns[j][d]`` is the (root, sign) of the
+    point of vertex j at depth d, as ``coxeter_columns`` gives it."""
+    exps = {}
+    for j, top in xi.items():
+        for s in range(top, p - 1, -2):
+            m = s - p + 1
+            e = coeffs[m][i - 1][j - 1]
+            if lag is not None and m > lag:
+                e -= coeffs[m - lag][i - 1][j - 1]
+            root = columns[j][(top - s) // 2][0]
+            exps[root] = exps.get(root, 0) - e
+    return {r: e for r, e in exps.items() if e}
+
+
+def full_period_exponents(coeffs, columns, xi, h, i, p):
+    """{root: exponent} of G(i, p) = F(i, p - 2h) / F(i, p), F the window
+    product with no lag: the roots of the points (j, s) with
+    p - 2h <= s < p to the powers -c(s - p + 2h + 1)."""
+    exps = {}
+    for j, top in xi.items():
+        for s in range(p - 1, p - 2 * h - 1, -1):
+            if s <= top and (top - s) % 2 == 0:
+                root = columns[j][(top - s) // 2][0]
+                exps[root] = exps.get(root, 0) - coeffs[s - p + 2 * h + 1][i - 1][j - 1]
+    return {r: e for r, e in exps.items() if e}
+
+
+# -- finite words, scanned ----------------------------------------------------
+
+
+def dense_inversion_roots(cartan, word):
+    """The roots s_{i1}...s_{i(k-1)}(a_{ik}) by dense reflections, or None
+    if one of them is not positive (the word is not reduced)."""
+    n = len(cartan)
+    roots = []
+    for k, letter in enumerate(word):
+        vec = tuple(int(c == letter - 1) for c in range(n))
+        for prev in reversed(word[:k]):
+            vec = dense_reflect(cartan, prev, vec)
+        if not all(c >= 0 for c in vec):
+            return None
+        roots.append(vec)
+    return roots
+
+
+def _next_position(word, t):
+    """Next position of the letter at t (1-based) in the word, or None."""
+    return next((s + 1 for s in range(t, len(word)) if word[s] == word[t - 1]), None)
+
+
+def _previous_position(word, t):
+    """Previous position of the letter at t (1-based), with 0 for none."""
+    return next((s + 1 for s in range(t - 2, -1, -1) if word[s] == word[t - 1]), 0)
+
+
+def scanning_word_classes(adjacency, word):
+    """(fully commutative, dominant minuscule) for a reduced word, by
+    counting the neighbours between each letter and its next occurrence,
+    or after its last one."""
+    fc = dm = True
+    for t in range(1, len(word) + 1):
+        tp = _next_position(word, t)
+        nbrs = adjacency[word[t - 1]]
+        end = len(word) if tp is None else tp - 1
+        between = sum(1 for s in range(t, end) if word[s] in nbrs)
+        if tp is None:
+            dm = dm and between <= 1
+        else:
+            fc = fc and between >= 2
+            dm = dm and between == 2
+    return fc, dm
+
+
+def scanning_seed_minors(cartan, adjacency, word):
+    """The exponent maps {root: exponent} of P_1..P_N of a reduced word
+    of the longest element, from P_j * P_(j-) = beta_j * prod of P_l over
+    l < j with an adjacent letter and no occurrence of it in (l, j]."""
+    betas = dense_inversion_roots(cartan, word)
+    products = []
+    for j in range(1, len(word) + 1):
+        p = {betas[j - 1]: 1}
+        for l in range(1, j):
+            lp = _next_position(word, l)
+            if (lp is None or lp > j) and word[l - 1] in adjacency[word[j - 1]]:
+                for r, e in products[l - 1].items():
+                    p[r] = p.get(r, 0) + e
+        jm = _previous_position(word, j)
+        if jm:
+            for r, e in products[jm - 1].items():
+                p[r] = p.get(r, 0) - e
+        products.append({r: e for r, e in p.items() if e})
+    return products

@@ -12,8 +12,6 @@ from krtorus.cartan import (
     apply_word,
     braid_shuffle,
     build_frame,
-    finite_t_minus,
-    finite_t_plus,
     inversion_roots,
     is_dominant_minuscule,
     is_fully_commutative,
@@ -30,6 +28,7 @@ from oracles import (
     longest_word_involution,
     weyl_positive_roots,
 )
+from strategies import CLI_TYPES, oriented_frames
 
 
 ROOT_COUNTS = {("A", 1): 1, ("A", 3): 6, ("A", 5): 15, ("D", 4): 12,
@@ -244,23 +243,6 @@ def test_star_is_an_involution(a3_sink_source, d4, d5, e6):
             assert img == tuple(-c for c in f.datum.alpha(f.star[i]))
 
 
-CLI_TYPES = (
-    [("A", r) for r in range(1, 15)]
-    + [("D", r) for r in range(4, 15)]
-    + [("E", r) for r in (6, 7, 8)]
-)
-
-
-@st.composite
-def oriented_frames(draw):
-    family, rank = draw(st.sampled_from(CLI_TYPES))
-    edges = DynkinDatum(family, rank).edges
-    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
-    arrows = {(b, a) if f else (a, b) for (a, b), f in zip(edges, flips)}
-    anchor = (draw(st.integers(1, rank)), draw(st.integers(-20, 20)))
-    return build_frame(family, rank, arrows, anchor)
-
-
 @given(frame=oriented_frames())
 @settings(max_examples=150, deadline=None)
 def test_row_lengths_and_star_match_reflections(frame):
@@ -464,24 +446,17 @@ def test_t_plus_minus_examples(a3_sink_source):
         assert f.letter(f.t_plus(t)) == f.letter(t)
 
 
-def test_neighbours_alternate_between_occurrences(d4, e6):
-    for f in (d4, e6):
-        for t in range(1, 2 * f.N):
-            tp = f.t_plus(t)
-            nbrs = f.datum.adjacency[f.letter(t)]
-            for j in nbrs:
-                count = sum(
-                    1 for s in range(t + 1, tp) if f.letter(s) == j
-                )
-                assert count == 1
-
-
-def test_finite_word_positions():
-    word = (2, 1, 3, 2, 1, 3)
-    assert finite_t_plus(word, 1) == 4
-    assert finite_t_plus(word, 4) is None
-    assert finite_t_minus(word, 4) == 1
-    assert finite_t_minus(word, 1) == 0
+def test_neighbours_alternate_between_occurrences():
+    # every type, with the monotonic orientation and its reverse
+    for family, rank in CLI_TYPES:
+        monotonic = build_frame(family, rank)
+        reverse = build_frame(family, rank, {(b, a) for a, b in monotonic.orientation})
+        for f in (monotonic, reverse):
+            word = [f.letter(s) for s in range(1, 4 * f.N + 1)]
+            for t in range(1, 2 * f.N):
+                between = word[t : f.t_plus(t) - 1]
+                for j in f.datum.adjacency[f.letter(t)]:
+                    assert between.count(j) == 1, (family, rank, t, j)
 
 
 # -- inversion sets and word classes ---------------------------------------------

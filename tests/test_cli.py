@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 
 from krtorus import cli
 from krtorus.cartan import DynkinDatum, braid_shuffle, build_frame, render_orientation
-from krtorus.cli import MAX_COUNT, MAX_MMAX, MAX_RANK, MAX_TMAX, MAX_WINDOW, main
+from krtorus.cli import (
+    MAX_COUNT,
+    MAX_MMAX,
+    MAX_RANK,
+    MAX_TMAX,
+    MAX_WEIGHT_DEGREE,
+    MAX_WEIGHT_TERMS,
+    MAX_WINDOW,
+    main,
+)
 from krtorus.errors import InvalidInputError
 from krtorus.field.rational import RootRational
 from krtorus.suites import SUITES
@@ -272,6 +281,77 @@ def test_size_limits_refused_fast(capsys, argv, message):
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message}")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("word", [["a", 2], "12", [1.5], [0, 1]])
+def test_dbar_weights_bad_letter_exit_two(capsys, tmp_path, word):
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps([{"word": word, "dim": 1}]))
+    code, out, err = run(capsys, ["dbar-weights", "--type", "A", "--rank", "2", "--file", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: letter ") and err.endswith(" outside 1..2\n")
+
+
+def _shuffled_weight_file(tmp_path, rank, length, count, seed):
+    """Weight data of ``count`` shuffles of one random word."""
+    rng = random.Random(seed)
+    base = [rng.randint(1, rank) for _ in range(length)]
+    entries = []
+    for _ in range(count):
+        word = base[:]
+        rng.shuffle(word)
+        entries.append({"word": word, "dim": 1})
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps(entries))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "rank, length, count", [(5, 10, 6), (3, 12, 20)], ids=["A5-6-words", "A3-20-words"]
+)
+def test_dbar_weights_size_bound_refused_fast(capsys, tmp_path, rank, length, count):
+    # both took about a minute or more to print megabytes before the bound
+    path = _shuffled_weight_file(tmp_path, rank, length, count, seed=1)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["dbar-weights", "--type", "A", "--rank", str(rank), "--file", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: weight data too large: the common denominator has degree ")
+    assert f"(at most {MAX_WEIGHT_DEGREE})" in err and f"(at most {MAX_WEIGHT_TERMS})" in err
+    assert len(err.splitlines()) == 1
+
+
+@given(
+    rank=st.integers(2, 4),
+    length=st.integers(1, 8),
+    count=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=30, deadline=None)
+def test_weight_sum_size_bounds_what_is_expanded(rank, length, count, seed):
+    from krtorus.cuspidal import weight_sum, weight_sum_size
+    from krtorus.field.rational import RootContext
+
+    rng = random.Random(seed)
+    base = [rng.randint(1, rank) for _ in range(length)]
+    words = [tuple(rng.sample(base, length)) for _ in range(count)]
+    frame = build_frame("A", rank)
+    degree, terms = weight_sum_size(frame, words)
+    seen = []
+    build = RootContext.build
+
+    def spy(self, unit, fac, num, den, free=None):
+        seen.append((num, den))
+        return build(self, unit, fac, num, den, free)
+
+    RootContext.build = spy
+    try:
+        weight_sum(frame, [(w, 1) for w in words])
+    finally:
+        RootContext.build = build
+    for poly in (p for pair in seen for p in pair):
+        assert len(poly) <= terms
+        assert all(sum(e) <= degree for e in poly)
 
 
 def test_mmax_bound_is_accepted(capsys):
