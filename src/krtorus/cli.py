@@ -35,14 +35,15 @@ __all__ = ["main"]
 # window or tmax); verify --count 100 takes 1.1-3.1 s for flagminors on
 # A14, E8 and D14 and 0.8 s for schurweyl on A14 (linear in the count).
 # For dbar-weights, see ``weight_sum_size``: at its bounds a search over
-# shuffled words took at most 1.8 s.  dtilde-y reads depth modulo h.
+# shuffled and interval words in A2-A14, D4-D14 and E6-E8 took at most
+# 2.0 s.  dtilde-y reads depth modulo h.
 MAX_MMAX = 10000
 MAX_WINDOW = 1000
 MAX_RANK = 14
 MAX_TMAX = 1000
 MAX_COUNT = 100
 MAX_WEIGHT_DEGREE = 64
-MAX_WEIGHT_TERMS = 20000
+MAX_WEIGHT_TERMS = 50000
 
 
 def _add_frame_args(cmd):
@@ -277,8 +278,8 @@ def _run(args) -> int:
         degree, terms = weight_sum_size(frame, (word for word, _ in entries))
         if degree > MAX_WEIGHT_DEGREE or terms > MAX_WEIGHT_TERMS:
             raise InvalidInputError(
-                f"weight data too large: the common denominator has degree {degree} "
-                f"(at most {MAX_WEIGHT_DEGREE}) and {terms} monomials of that degree "
+                f"weight data too large: the sum expands to degree {degree} "
+                f"(at most {MAX_WEIGHT_DEGREE}) and writes up to {terms} monomials "
                 f"(at most {MAX_WEIGHT_TERMS})"
             )
         _emit_value(weight_sum(frame, entries), fmt)

@@ -146,12 +146,12 @@ def initial_seed(calc: TorusMorphism, window: int, specialize_frozen: bool = Fal
     arrows = Counter()
     frozen = set()
     for t in range(1, window + 1):
-        i, p = frame.phi_inv(t)
-        tp = frame.phi(i, p - 2)
+        tp = frame.t_plus(t)
         if tp > window:
             frozen.add(t)
             continue
         arrows[(tp, t)] += 1
+        i, p = frame.phi_inv(t)
         for j in frame.datum.adjacency[i]:
             arrows[(t, frame.phi(j, p - 1))] += 1
     values = {}

@@ -10,6 +10,7 @@ computes the whole standard seed from the word alone.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd
@@ -68,28 +69,44 @@ def _prefix_form_value(frame, word):
 
 def weight_sum_size(frame: ARFrame, words):
     """(D, terms) for the words of weight data, read from the words alone
-    before any arithmetic: D is the degree of the common denominator of
-    the summands of ``weight_sum``, the product of the distinct root forms
-    among the prefix forms of all words and of the distinct residual
-    denominators (one per multiset of the other prefix forms, made
-    primitive), and terms is the number of monomials of degree D in the n
-    root variables.  The expanded numerator and the residual denominator
-    of the sum have degree at most D, so at most that many terms each."""
+    before any arithmetic: D is the largest degree that ``weight_sum``
+    expands, and terms bounds the monomials it writes in all, the number
+    of words times the monomials of degree D in the letters used.
+
+    A word's value keeps its root prefix forms factored and multiplies its
+    other prefix forms (made primitive) into one residual denominator.
+    ``sum_over`` keeps each root form factored in the common denominator,
+    to its largest multiplicity among the words, and expands for each word
+    its cofactor (the root forms it lacks up to that multiplicity) times
+    the distinct residual denominators other than its own; a root form
+    that every word has to the same multiplicity is never expanded.  So D
+    is the larger of that numerator degree E and the degree R of the
+    product of distinct residual denominators.  A single word expands only
+    its own residual (E = 0).  Both are homogeneous in the letters used."""
     n = frame.datum.rank
-    roots, residuals = set(), set()
+    counts, residuals, letters = [], set(), set()
     for word in words:
         _word_weight(frame.datum, word)
-        rest = []
+        letters.update(word)
+        roots, rest = Counter(), []
         for form in _prefix_forms(n, word):
             g = gcd(*form)
             form = tuple(c // g for c in form)
             if form in frame.root_context.root_set:
-                roots.add(form)
+                roots[form] += 1
             else:
                 rest.append(form)
-        residuals.add(tuple(sorted(rest)))
-    degree = len(roots) + sum(len(rest) for rest in residuals)
-    return degree, comb(degree + n - 1, n - 1)
+        rest = tuple(sorted(rest))
+        counts.append((roots, len(rest)))
+        residuals.add(rest)
+    top = Counter()
+    for roots, _ in counts:
+        top |= roots
+    r = sum(len(rest) for rest in residuals)
+    e = max((sum((top - roots).values()) + r - own for roots, own in counts), default=0)
+    degree = max(e, r)
+    monomials = comb(degree + len(letters) - 1, len(letters) - 1) if letters else 1
+    return degree, len(counts) * monomials
 
 
 def weight_sum(frame: ARFrame, entries) -> RootRational:

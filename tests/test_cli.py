@@ -3,6 +3,7 @@ import io
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -316,27 +317,82 @@ def test_dbar_weights_size_bound_refused_fast(capsys, tmp_path, rank, length, co
     code, out, err = run(capsys, ["dbar-weights", "--type", "A", "--rank", str(rank), "--file", path])
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
-    assert err.startswith("error: weight data too large: the common denominator has degree ")
+    assert err.startswith("error: weight data too large: the sum expands to degree ")
     assert f"(at most {MAX_WEIGHT_DEGREE})" in err and f"(at most {MAX_WEIGHT_TERMS})" in err
     assert len(err.splitlines()) == 1
 
 
+def _direct_weight_sum(rank, entries, point):
+    """Sum of dim / prod(prefix forms) at an integer point, form by form."""
+    total = Fraction(0)
+    for word, dim in entries:
+        acc, value = 0, Fraction(dim)
+        for letter in word:
+            acc += point[letter - 1]
+            value /= acc
+        total += value
+    return total
+
+
+@pytest.mark.parametrize(
+    "family, rank, words",
+    [
+        # single words: the value is the reciprocal product of the prefix forms
+        ("A", 14, [[1, 2, 3, 4, 5, 6]]),
+        ("D", 14, [[1, 2, 3, 4, 5, 6]]),
+        ("E", 8, [[1, 2, 3, 4, 5, 3, 2, 6, 5, 3, 4]]),
+        ("E", 8, [[1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3]]),
+        # several words, more than half the monomial bound
+        ("A", 14, [[1, 2, 3, 4, 5, 7, 6, 8, 9, 10, 11, 12, 13, 14],
+                   [1, 2, 3, 4, 5, 6, 8, 7, 9, 10, 11, 12, 13, 14],
+                   [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10, 12, 13, 14],
+                   [1, 3, 2, 4, 6, 5, 7, 8, 9, 10, 11, 12, 13, 14]]),
+        ("D", 14, [[2, 1, 3, 4, 5, 6, 7, 8, 9, 10, 12, 11],
+                   [1, 3, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+                   [1, 2, 3, 4, 6, 5, 7, 8, 10, 9, 11, 12],
+                   [1, 2, 3, 4, 5, 7, 6, 8, 9, 10, 11, 12]]),
+    ],
+    ids=["A14-word", "D14-word", "E8-root-word", "E8-word", "A14-4-words", "D14-4-words"],
+)
+def test_dbar_weights_accepts_factored_words(capsys, tmp_path, family, rank, words):
+    # root prefix forms stay factored, so these long words expand little
+    from krtorus.cuspidal import weight_sum_size
+
+    degree, terms = weight_sum_size(build_frame(family, rank), words)
+    assert degree <= MAX_WEIGHT_DEGREE and terms <= MAX_WEIGHT_TERMS
+    if len(words) > 1:
+        assert terms > MAX_WEIGHT_TERMS // 2
+    entries = [(w, 1 + k) for k, w in enumerate(words)]
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps([{"word": w, "dim": d} for w, d in entries]))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["dbar-weights", "--type", family, "--rank", str(rank),
+                                  "--file", str(path), "--format", "json"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    value = RootRational.from_json_dict(build_frame(family, rank).root_context, json.loads(out))
+    point = [random.Random(rank).randint(1, 50) for _ in range(rank)]
+    assert value.evaluate(point) == _direct_weight_sum(rank, entries, point)
+
+
 @given(
-    rank=st.integers(2, 4),
+    datum=st.sampled_from([("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5), ("E", 6)]),
     length=st.integers(1, 8),
     count=st.integers(1, 5),
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=30, deadline=None)
-def test_weight_sum_size_bounds_what_is_expanded(rank, length, count, seed):
+def test_weight_sum_size_bounds_what_is_expanded(datum, length, count, seed):
     from krtorus.cuspidal import weight_sum, weight_sum_size
     from krtorus.field.rational import RootContext
 
+    family, rank = datum
     rng = random.Random(seed)
     base = [rng.randint(1, rank) for _ in range(length)]
     words = [tuple(rng.sample(base, length)) for _ in range(count)]
-    frame = build_frame("A", rank)
+    frame = build_frame(family, rank)
     degree, terms = weight_sum_size(frame, words)
+    monomials = terms // len(words)
     seen = []
     build = RootContext.build
 
@@ -350,7 +406,7 @@ def test_weight_sum_size_bounds_what_is_expanded(rank, length, count, seed):
     finally:
         RootContext.build = build
     for poly in (p for pair in seen for p in pair):
-        assert len(poly) <= terms
+        assert len(poly) <= monomials
         assert all(sum(e) <= degree for e in poly)
 
 
