@@ -71,7 +71,8 @@ def weight_sum_size(frame: ARFrame, words):
     """(D, terms) for the words of weight data, read from the words alone
     before any arithmetic: D is the largest degree that ``weight_sum``
     expands, and terms bounds the monomials it writes in all, the number
-    of words times the monomials of degree D in the letters used.
+    of distinct words (``weight_sum`` merges repeated ones) times the
+    monomials of degree D in the letters used.
 
     A word's value keeps its root prefix forms factored and multiplies its
     other prefix forms (made primitive) into one residual denominator.
@@ -84,9 +85,12 @@ def weight_sum_size(frame: ARFrame, words):
     product of distinct residual denominators.  A single word expands only
     its own residual (E = 0).  Both are homogeneous in the letters used."""
     n = frame.datum.rank
-    counts, residuals, letters = [], set(), set()
+    distinct = {}
     for word in words:
         _word_weight(frame.datum, word)
+        distinct[tuple(word)] = None
+    counts, residuals, letters = [], set(), set()
+    for word in distinct:
         letters.update(word)
         roots, rest = Counter(), []
         for form in _prefix_forms(n, word):
@@ -113,13 +117,14 @@ def weight_sum(frame: ARFrame, entries) -> RootRational:
     """Value attached to weight data [(word, dimension), ...].
 
     All words must have the same letter-count vector; the result is the
-    dimension-weighted sum of the reciprocal prefix-form products.
+    dimension-weighted sum of the reciprocal prefix-form products.  A word
+    that recurs is summed once, with its dimensions added.
     """
     entries = list(entries)
     if not entries:
         raise InvalidInputError("weight data is empty")
     wt0 = _word_weight(frame.datum, entries[0][0])
-    values = []
+    dims = {}
     for word, dim in entries:
         if dim < 1:
             raise InvalidInputError("dimensions must be positive")
@@ -127,7 +132,9 @@ def weight_sum(frame: ARFrame, entries) -> RootRational:
             raise InvalidInputError(
                 f"word {list(word)} has a different weight than the first entry"
             )
-        values.append(dim * _prefix_form_value(frame, word))
+        word = tuple(word)
+        dims[word] = dims.get(word, 0) + dim
+    values = [dim * _prefix_form_value(frame, word) for word, dim in dims.items()]
     return frame.root_context.sum_over(values)
 
 

@@ -131,6 +131,18 @@ def poly_mul(a, b):
     return _packed_mul(a, b)
 
 
+def poly_pow(a, e):
+    """``a`` to the int power ``e`` >= 1, by squaring (``a`` itself for e = 1)."""
+    out = None
+    while True:
+        if e & 1:
+            out = a if out is None else poly_mul(out, a)
+        e >>= 1
+        if not e:
+            return out
+        a = poly_mul(a, a)
+
+
 def _packed_mul(a, b):
     """Product on packed monomials: one int add per pair of terms."""
     width = _width(_top(a) + _top(b))

@@ -139,14 +139,9 @@ class MultiPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = MultiPoly.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        if not k:
+            return MultiPoly.one(self.n)
+        return MultiPoly(self.n, kernel.poly_pow(self.terms, k))
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -6,23 +6,26 @@ den are primitive integer polynomials carrying whatever does not factor
 into root forms.  A linear form is classified once, on input: it is a
 positive root up to a scalar or it is not (engine values, root products
 by construction, skip this in ``RootContext.root_product``).  Other input
-is normalized
-once, by ``RootContext.build``: the residuals are cancelled where one
-divides the other, then positive-root forms are divided out (the forms
-are irreducible, so the extracted multiset is unique and the order of
-the two steps does not matter).  Which forms to try comes from one
-integer evaluation of the residual modulo a prime on each form's
-hyperplane: a nonzero value proves that the form does not divide, while
-a zero is only a hint, which the exact division ``kernel.poly_div_linear``
-certifies.  Sums, and exchange steps (sum) / divisor, are normalized once
-by ``RootContext.sum_over``.  A residual numerator that every summand has
-stays a shared factor there: only the cofactors are added, the divisor's
-residual divides the shared residual alone, and ``build`` takes the
-quotient as a root-free factor, which it multiplies in after extracting
-root forms from the cofactor sum.  Products, quotients and powers are
-formed in one pass by ``RootContext.product_over``, the one place where the
-residuals of values meet.  No general multivariate gcd is ever needed, and
-equality is decided by subtraction.
+is normalized once, by ``RootContext.build``: the residuals are
+cancelled where one divides the other, then positive-root forms are
+divided out (the forms are irreducible, so the extracted multiset is
+unique and the order of the two steps does not matter).  Which forms to
+try comes from one integer evaluation of the residual modulo a prime on
+each form's hyperplane: a nonzero value proves that the form does not
+divide, and costs one Horner pass, while a zero is only a hint, which
+the exact division ``kernel.poly_div_linear`` certifies.  A residual of
+degree 1 is not screened: primitive with a positive leading
+coefficient, it is divisible by a root form only when it is that root,
+which one lookup in the root set decides.  Sums, and exchange steps
+(sum) / divisor, are normalized once by ``RootContext.sum_over``.  A
+residual numerator that every summand has stays a shared factor there:
+only the cofactors are added, the divisor's residual divides the shared
+residual alone, and ``build`` takes the quotient as a root-free factor,
+which it multiplies in after extracting root forms from the cofactor
+sum.  Products, quotients and powers are formed in one pass by
+``RootContext.product_over``, the one place where the residuals of
+values meet.  No general multivariate gcd is ever needed, and equality
+is decided by subtraction.
 """
 
 from __future__ import annotations
@@ -72,18 +75,25 @@ def _vanishing_order(coeffs, s):
     """Order of vanishing at ``s`` of sum(coeffs[d] * t^d) over F_p.
 
     A polynomial that is zero mod p gets its degree bound len(coeffs) - 1.
+    Each round evaluates by Horner first and stops at a nonzero value, so
+    a candidate that is no root (nearly every one) costs one pass; only at
+    a zero does synthetic division by (t - s) build the quotient.  Degree-1
+    residuals never come here: ``_extract`` looks them up in the root set.
     """
     a = coeffs[::-1]
     order = 0
     while len(a) > 1:
         acc = 0
-        out = []
         for c in a:
             acc = (acc * s + c) % _P
-            out.append(acc)
         if acc:
             break
-        a = out[:-1]
+        out = []
+        acc = 0
+        for c in a[:-1]:
+            acc = (acc * s + c) % _P
+            out.append(acc)
+        a = out
         order += 1
     return order
 
@@ -248,10 +258,27 @@ class RootContext:
         Simple roots come first in ``self.roots``, so a monomial factors
         through its bounds (its order of vanishing at meeting point 0 is
         the exponent) before any other form is tried.
+
+        A residual whose terms all have degree 1 is a linear form, primitive
+        with a positive leading coefficient, as is every root form; another
+        linear form divides it only with a constant quotient, which is then
+        1.  So it is a root, extracted whole by one lookup, or it holds no
+        root form; neither case is screened.
         """
         # Root forms have no constant term, so neither has any multiple.
         if (0,) * self.n in terms:
             return terms
+        coords = [0] * self.n
+        for e, c in terms.items():
+            if sum(e) != 1:
+                break
+            coords[e.index(1)] = c
+        else:
+            root = tuple(coords)
+            if root not in self.root_set:
+                return terms
+            fac[root] = fac.get(root, 0) + sign
+            return self._one
         for root, bound in self._screen(terms, support_mask(terms)):
             pivot = self._pivot[root]
             for _ in range(bound):
@@ -285,7 +312,9 @@ class RootContext:
             raise ZeroDivisionError("zero denominator")
         num, cn = integral_primitive(num)
         den, cd = integral_primitive(den)
-        unit = Fraction(unit) * cn / cd
+        unit = Fraction(unit)
+        if cn != cd:
+            unit = unit * cn / cd
         if unit == 0:
             return self.zero()
         num, den = self._cancel_residuals(num, den)
@@ -350,9 +379,9 @@ class RootContext:
         for v in values:
             # Cofactor exponents are >= 0 by construction, so they expand.
             fac = v.fac
-            exps = [(r, e - shared.get(r, 0)) for r, e in fac.items()]
+            exps = [(r, d) for r, e in fac.items() if (d := e - shared.get(r, 0))]
             exps += [low for low in lows if low[0] not in fac]
-            term = self._expand(exps, int(v.unit * q))
+            term = self._expand(exps, v.unit.numerator if q == 1 else int(v.unit * q))
             if free is None:
                 term = kernel.poly_mul(term, v.num)
                 for d in dens:
@@ -365,7 +394,7 @@ class RootContext:
             shared[r] = shared.get(r, 0) + e
         if free is None and inv.num != one:
             snum = kernel.poly_mul(snum, inv.num)
-        return self.build(inv.unit / q, shared, snum, sden, free)
+        return self.build(inv.unit if q == 1 else inv.unit / q, shared, snum, sden, free)
 
     def product_over(self, pairs) -> "RootRational":
         """prod(value ^ exp) over (value, exp) pairs with int exponents.
@@ -381,8 +410,12 @@ class RootContext:
         reduced whatever the order; the whole sides are cancelled once at
         the end.  When no residual turns up on both sides, as for values
         with residual denominator 1 and positive exponents, nothing cancels
-        and the parts do not depend on how the product is grouped.
+        and the parts do not depend on how the product is grouped.  A lone
+        (value, 1) is the value itself: values are immutable.
         """
+        pairs = tuple(pairs)
+        if len(pairs) == 1 and pairs[0][1] == 1:
+            return pairs[0][0]
         unit, fac, residuals = Fraction(1), {}, []
         zero = False
         for k, (value, exp) in enumerate(pairs):
@@ -426,7 +459,7 @@ class RootContext:
                                 side.append([q, m, None])
 
         def multiplied(side):
-            powers = [p if e == 1 else (MultiPoly(self.n, p) ** e).terms for p, e, _ in side if e]
+            powers = [kernel.poly_pow(p, e) for p, e, _ in side if e]
             return reduce(kernel.poly_mul, powers) if powers else self._one
 
         num, den = multiplied(tops), multiplied(bottoms)
@@ -471,7 +504,7 @@ class RootRational:
     # -- predicates and views -------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.unit == 0
+        return not self.unit
 
     def is_one(self) -> bool:
         return (

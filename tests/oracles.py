@@ -308,3 +308,22 @@ def scanning_seed_minors(cartan, adjacency, word):
                 p[r] = p.get(r, 0) - e
         products.append({r: e for r, e in p.items() if e})
     return products
+
+
+def vanishing_order(coeffs, s, p):
+    """Order of vanishing at s of sum(coeffs[d] * t^d) over F_p, by
+    repeated synthetic division by (t - s) until the remainder is nonzero;
+    a polynomial that is zero mod p gets len(coeffs) - 1."""
+    a = coeffs[::-1]
+    order = 0
+    while len(a) > 1:
+        acc = 0
+        out = []
+        for c in a:
+            acc = (acc * s + c) % p
+            out.append(acc)
+        if acc:
+            break
+        a = out[:-1]
+        order += 1
+    return order

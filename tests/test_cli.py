@@ -4,6 +4,8 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import permutations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -375,6 +377,29 @@ def test_dbar_weights_accepts_factored_words(capsys, tmp_path, family, rank, wor
     assert value.evaluate(point) == _direct_weight_sum(rank, entries, point)
 
 
+def test_dbar_weights_merges_repeated_words(capsys, tmp_path):
+    # 299 entries over the 24 orderings of four letters: summed word by
+    # word they size to 397670 monomials, merged to 31920
+    from krtorus.cuspidal import weight_sum_size
+
+    rng = random.Random(299)
+    orderings = [list(w) for w in permutations([1, 2, 3, 4])]
+    words = orderings + [rng.choice(orderings) for _ in range(299 - len(orderings))]
+    entries = [(w, rng.randint(1, 3)) for w in words]
+    degree, terms = weight_sum_size(build_frame("A", 14), words)
+    assert terms == 24 * comb(degree + 3, 3) <= MAX_WEIGHT_TERMS
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps([{"word": w, "dim": d} for w, d in entries]))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["dbar-weights", "--type", "A", "--rank", "14",
+                                  "--file", str(path), "--format", "json"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and err == ""
+    value = RootRational.from_json_dict(build_frame("A", 14).root_context, json.loads(out))
+    point = [rng.randint(1, 50) for _ in range(14)]
+    assert value.evaluate(point) == _direct_weight_sum(14, entries, point)
+
+
 @given(
     datum=st.sampled_from([("A", 2), ("A", 3), ("A", 4), ("D", 4), ("D", 5), ("E", 6)]),
     length=st.integers(1, 8),
@@ -392,7 +417,7 @@ def test_weight_sum_size_bounds_what_is_expanded(datum, length, count, seed):
     words = [tuple(rng.sample(base, length)) for _ in range(count)]
     frame = build_frame(family, rank)
     degree, terms = weight_sum_size(frame, words)
-    monomials = terms // len(words)
+    monomials = terms // len(set(words))
     seen = []
     build = RootContext.build
 

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from krtorus.cartan import build_frame
 from krtorus.errors import InvalidInputError
-from krtorus.field import MultiPoly, kernel
+from krtorus.field import MultiPoly, kernel, rational
 from krtorus.field.poly import integral_primitive
 from krtorus.field.rational import RootContext
 from krtorus.suites import run_suite
 from krtorus.torusmap import TorusMorphism
+
+from oracles import vanishing_order
 
 
 @pytest.fixture(scope="module")
@@ -519,15 +521,6 @@ def every_root_is_a_candidate(self, terms, tmask):
     return [(r, max(sum(e) for e in terms)) for r in self.roots]
 
 
-def is_root_form(ctx, terms):
-    coords = [0] * ctx.n
-    for e, c in terms.items():
-        if sum(e) != 1:
-            return False
-        coords[e.index(1)] = c
-    return tuple(coords) in ctx.root_set
-
-
 @given(kind=st.sampled_from([("A", 3), ("D", 4), ("E", 6)]), data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_screened_extraction_matches_trial_division(kind, data):
@@ -537,7 +530,6 @@ def test_screened_extraction_matches_trial_division(kind, data):
     for _ in range(2):
         forms = data.draw(mults)
         terms = integral_primitive(data.draw(poly_dicts(ctx.n, max_exp=2, min_size=1)))[0]
-        assume(not is_root_form(ctx, terms))
         for root, m in forms.items():
             form = MultiPoly.linear_form(root).terms
             for _ in range(m):
@@ -552,6 +544,69 @@ def test_screened_extraction_matches_trial_division(kind, data):
     with mock.patch.object(RootContext, "_screen", every_root_is_a_candidate):
         unscreened = ctx.build(unit, {}, num, den)
     assert (unscreened.unit, unscreened.fac, unscreened.num, unscreened.den) == want
+
+
+def linear_residuals(ctx):
+    """Term dicts of scale * form + constant: the form a root or another
+    nonzero form, the scale nonzero and possibly negative, the constant
+    mostly 0 (a linear form) and otherwise an affine shift; or a constant."""
+    others = st.lists(st.integers(-3, 3), min_size=ctx.n, max_size=ctx.n).filter(any)
+    affine = st.tuples(
+        st.one_of(st.sampled_from(ctx.roots), others),
+        st.sampled_from([1, 2, -1, -3]),
+        st.sampled_from([0, 0, 0, 1, -2]),
+    ).map(lambda t: _affine_terms(ctx.n, *t))
+    return st.one_of(affine, st.sampled_from([1, -2]).map(lambda c: {(0,) * ctx.n: c}))
+
+
+def _affine_terms(n, coords, scale, constant):
+    terms = {e: scale * c for e, c in MultiPoly.linear_form(coords).terms.items()}
+    if constant:
+        terms[(0,) * n] = constant
+    return terms
+
+
+@given(kind=st.sampled_from([("A", 3), ("D", 4), ("E", 6)]), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_linear_residuals_match_trial_division(kind, data):
+    # A degree-1 residual is a root or holds none, decided by one lookup;
+    # root-product multiples of it go through the screen.
+    ctx = screen_context(*kind)
+    mults = st.dictionaries(st.sampled_from(ctx.roots), st.integers(1, 2), max_size=2)
+    sides = []
+    for _ in range(2):
+        terms = data.draw(linear_residuals(ctx))
+        for root, m in data.draw(mults).items():
+            form = MultiPoly.linear_form(root).terms
+            for _ in range(m):
+                terms = kernel.poly_mul(terms, form)
+        sides.append(terms)
+    unit = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool))
+    num, den = sides
+    got = ctx.build(unit, {}, num, den)
+    assert (got.unit, got.fac, got.num, got.den) == reference_build(ctx, unit, num, den)
+
+
+@given(
+    s=st.integers(0, rational._P - 1),
+    orders=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    cofactor=st.lists(st.integers(-(1 << 62), 1 << 62), max_size=5),
+    zero_rows=st.integers(0, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_vanishing_order_matches_synthetic_division(s, orders, cofactor, zero_rows):
+    # Cofactor times (t - s)^m times (t - s')^m' ..., or the zero polynomial
+    # of a few coefficients; the screen's slices are such lists mod p.
+    p = rational._P
+    coeffs = list(cofactor)
+    for k, m in enumerate(orders):
+        root = (s + k * 7919) % p
+        for _ in range(m):
+            shifted = [0] + coeffs
+            coeffs = [(a - root * b) % p for a, b in zip(shifted, coeffs + [0])]
+    for c in (coeffs, [0] * zero_rows, [0] * zero_rows + coeffs):
+        if c:
+            assert rational._vanishing_order(c, s) == vanishing_order(c, s, p)
 
 
 def test_no_trial_division_fails(monkeypatch):
