@@ -171,7 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_frame_args(cmd)
     _add_format_arg(cmd)
     cmd.add_argument("--suite", required=True, choices=sorted(SUITES))
-    cmd.add_argument("--tmax", type=int, default=None)
+    cmd.add_argument(
+        "--tmax",
+        type=int,
+        default=None,
+        help="check word positions up to TMAX (at most 1000; default 2N for "
+        "properties, N for periodicity); values repeat with period 2N, so "
+        "positions past 2N repeat the checks at t - 2N",
+    )
     cmd.add_argument("--count", type=int, default=None)
     cmd.add_argument("--seed", type=int, default=None)
     return parser

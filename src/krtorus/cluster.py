@@ -174,10 +174,11 @@ def mutate(seed: Seed, v: int) -> Seed:
     old = seed.values[v]
     if old.is_zero():
         raise InvalidInputError(f"cannot mutate at a zero value (vertex {v})")
-    ctx = seed.calc.ctx
-    prod_in = ctx.product_over((seed.values[a], m) for a, m in quiver.arrows_in(v))
-    prod_out = ctx.product_over((seed.values[b], m) for b, m in quiver.arrows_out(v))
-    new_value = ctx.sum_over((prod_in, prod_out), old)
+    new_value = seed.calc.ctx.exchange(
+        [(seed.values[a], m) for a, m in quiver.arrows_in(v)],
+        [(seed.values[b], m) for b, m in quiver.arrows_out(v)],
+        old,
+    )
     if new_value.is_zero():
         raise ConsistencyError(f"exchange at vertex {v} produced zero")
     values = dict(seed.values)

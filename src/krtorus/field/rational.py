@@ -16,15 +16,19 @@ divide, and costs one Horner pass, while a zero is only a hint, which
 the exact division ``kernel.poly_div_linear`` certifies.  A residual of
 degree 1 is not screened: primitive with a positive leading
 coefficient, it is divisible by a root form only when it is that root,
-which one lookup in the root set decides.  Sums, and exchange steps
-(sum) / divisor, are normalized once by ``RootContext.sum_over``.  A
-residual numerator that every summand has stays a shared factor there:
-only the cofactors are added, the divisor's residual divides the shared
-residual alone, and ``build`` takes the quotient as a root-free factor,
-which it multiplies in after extracting root forms from the cofactor
-sum.  Products, quotients and powers are formed in one pass by
-``RootContext.product_over``, the one place where the residuals of
-values meet.  No general multivariate gcd is ever needed, and equality
+which one lookup in the root set decides.  An exchange step
+(prod A + prod B) / D, of the T-system or of a cluster mutation, is one
+call of ``RootContext.exchange`` on the factor lists of A and B: one pass
+per side sums root exponents and collects residual factors, the sides
+share their least root exponents and the residuals both hold, and only
+the cofactors are expanded, on packed monomials.  D's residual cancels
+against a shared factor, or against a factor of one side after dividing
+the other side's residual product; only any other D divides the expanded
+sum.  ``build`` then screens that sum alone and multiplies the shared
+residuals, which hold no root form, in last.  Other sums are normalized
+once by ``RootContext.sum_over``; products, quotients and powers are
+formed in one pass by ``RootContext.product_over``, where the residuals
+of values meet.  No general multivariate gcd is ever needed, and equality
 is decided by subtraction.
 """
 
@@ -65,10 +69,15 @@ def form_str(coords) -> str:
     return "+".join(parts) if parts else "0"
 
 
-def _form_terms(coords):
-    """Term dict of the linear form with coordinates ``coords``."""
-    n = len(coords)
-    return {(0,) * k + (1,) + (0,) * (n - k - 1): c for k, c in enumerate(coords) if c}
+def _steps(coords, shifts):
+    """The linear form ``coords`` packed: (1 << field shift, coordinate) pairs."""
+    return [(1 << s, c) for s, c in zip(shifts, coords) if c]
+
+
+def _power_product(pairs, one):
+    """Product of p ^ m over the [p, m, ...] entries with m > 0; ``one`` if none."""
+    powers = [kernel.poly_pow(p, m) for p, m, *_ in pairs if m]
+    return reduce(kernel.poly_mul, powers) if powers else one
 
 
 def _vanishing_order(coeffs, s):
@@ -111,7 +120,7 @@ class RootContext:
         self.roots = tuple(sorted(roots, key=lambda r: (sum(r), r)))
         self.root_set = frozenset(self.roots)
         self._one = {(0,) * self.n: 1}
-        self._terms = {r: _form_terms(r) for r in self.roots}
+        self._steps = {}
         self._pivot = {r: max(i for i, c in enumerate(r) if c) for r in self.roots}
         self._mask = {
             r: sum(1 << i for i, c in enumerate(r) if c) for r in self.roots
@@ -196,14 +205,38 @@ class RootContext:
         return self.build(1, {}, nt, dt)
 
     def _expand(self, forms, scale=1):
-        """``scale`` times the product of ``coords ^ e`` over the (coords, e) pairs with e > 0."""
-        out = {(0,) * self.n: scale}
+        """``scale`` times the product of ``coords ^ e`` over the (coords, e) pairs with e > 0.
+
+        The product runs on packed monomials, fields sized from its degree
+        (see ``kernel``): a form with one coordinate is a monomial, which
+        shifts the start key, and each other factor adds every term shifted
+        into each of the form's fields, times its coordinate.  Root forms
+        come packed from a table kept per field width.
+        """
+        forms = [(coords, e) for coords, e in forms if e > 0]
+        width = kernel._width(sum(e for _, e in forms))
+        shifts, mask, _ = kernel._layout(self.n, width)
+        steps = self._steps.get(width)
+        if steps is None:
+            steps = self._steps[width] = {r: _steps(r, shifts) for r in self.roots}
+        start, linear = 0, []
         for coords, e in forms:
-            if e > 0:
-                terms = self._terms.get(coords) or _form_terms(coords)
-                for _ in range(e):
-                    out = kernel.poly_mul(out, terms)
-        return out
+            step = steps.get(coords) or _steps(coords, shifts)
+            if len(step) == 1:
+                (shift, c), = step
+                start += shift * e
+                scale *= c**e
+            else:
+                linear += [step] * e
+        out = {start: scale}
+        for step in linear:
+            nxt = {}
+            get = nxt.get
+            for k, c in out.items():
+                for shift, a in step:
+                    nxt[k + shift] = get(k + shift, 0) + c * a
+            out = nxt
+        return kernel._unpack(out, shifts, mask)
 
     # -- normalization --------------------------------------------------
 
@@ -304,27 +337,33 @@ class RootContext:
         as a residual of a normalized value.  Root forms are screened and
         extracted from ``num`` alone and ``free`` is multiplied in after:
         by Gauss's lemma and unique factorization this is the residual that
-        extraction from ``num * free`` leaves, part for part.
+        extraction from ``num * free`` leaves, part for part.  A residual
+        denominator of 1, as every exchange step has, is neither made
+        primitive nor cancelled nor screened.
         """
         if not num:
             return self.zero()
         if not den:
             raise ZeroDivisionError("zero denominator")
+        one = self._one
         num, cn = integral_primitive(num)
-        den, cd = integral_primitive(den)
+        cd = 1
+        if den != one:
+            den, cd = integral_primitive(den)
         unit = Fraction(unit)
         if cn != cd:
             unit = unit * cn / cd
         if unit == 0:
             return self.zero()
-        num, den = self._cancel_residuals(num, den)
         fac = dict(fac)
+        if den != one:
+            num, den = self._cancel_residuals(num, den)
+            den = self._extract(den, fac, -1)
         num = self._extract(num, fac, +1)
-        den = self._extract(den, fac, -1)
         fac = {r: e for r, e in fac.items() if e}
         if free is not None:
             num = kernel.poly_mul(num, free)
-        if num != self._one and den != self._one:
+        if num != one and den != one:
             num, den = self._cancel_residuals(num, den)
         return RootRational(self, unit, fac, num, den)
 
@@ -335,15 +374,8 @@ class RootContext:
         root factors stay factored, the rest expand into cofactors, the
         units share one denominator, and each distinct denominator residual
         is multiplied in once) and the divisor's residuals multiply in
-        crosswise.  In an exchange step the quotient is a sum of root
-        products, so the divisor's residual numerator divides exactly.
-
-        A residual numerator R that every summand has, over residual
-        denominators 1, stays a shared factor: only the cofactors are
-        added, and the divisor's residual numerator D divides R, which is
-        small, instead of the expanded sum.  R / D holds no root form, so
-        ``build`` takes it as its root-free factor.  When D does not divide
-        R, R multiplies back into every cofactor.
+        crosswise.  Exchange steps, whose summands are products, go to
+        ``exchange`` instead.
         """
         inv = self.one() if divisor is None else divisor.inverse()
         values = [v for v in values if not v.is_zero()]
@@ -364,12 +396,6 @@ class RootContext:
                 if e < 0 and r not in shared:
                     shared[r] = e
         lows = [(r, -s) for r, s in shared.items() if s < 0]
-        free, sden = None, inv.den
-        residual = values[0].num
-        if residual != one and all(v.num == residual and v.den == one for v in values):
-            free = residual if sden == one else kernel.poly_div_exact(residual, sden)
-            if free is not None:
-                free, sden = kernel.poly_mul(free, inv.num), one
         q = lcm(*(v.unit.denominator for v in values))
         dens = []
         for v in values:
@@ -382,19 +408,131 @@ class RootContext:
             exps = [(r, d) for r, e in fac.items() if (d := e - shared.get(r, 0))]
             exps += [low for low in lows if low[0] not in fac]
             term = self._expand(exps, v.unit.numerator if q == 1 else int(v.unit * q))
-            if free is None:
-                term = kernel.poly_mul(term, v.num)
-                for d in dens:
-                    if d != v.den:
-                        term = kernel.poly_mul(term, d)
+            term = kernel.poly_mul(term, v.num)
+            for d in dens:
+                if d != v.den:
+                    term = kernel.poly_mul(term, d)
             snum = term if snum is None else kernel.poly_add(snum, term)
+        sden = inv.den
         for d in dens:
             sden = kernel.poly_mul(sden, d)
         for r, e in inv.fac.items():
             shared[r] = shared.get(r, 0) + e
-        if free is None and inv.num != one:
+        if inv.num != one:
             snum = kernel.poly_mul(snum, inv.num)
-        return self.build(inv.unit if q == 1 else inv.unit / q, shared, snum, sden, free)
+        return self.build(inv.unit if q == 1 else inv.unit / q, shared, snum, sden)
+
+    def exchange(self, left, right, divisor) -> "RootRational":
+        """(prod ``left`` + prod ``right``) / ``divisor``, normalized by one ``build``.
+
+        ``left`` and ``right`` are lists of (value, exp >= 1) pairs, and
+        every value, the divisor too, has residual denominator 1, as engine
+        values do.  One pass per side multiplies the units, sums the root
+        exponents and collects the residuals with their multiplicities; a
+        side holding a zero value contributes 0.  The sides share the least
+        exponent of each root (a missing root counting 0) and each residual
+        that both hold; only the cofactors, unit times root forms, are
+        expanded.  The divisor's residual D is cancelled where it stands:
+        against a shared residual, or against a residual of one side, when
+        D then exactly divides the other side's residual product, as it
+        does when the sum is divisible by D (D holds no root form).  Any
+        other D divides the expanded sum in ``build``.  The shared
+        residuals hold no root form, so ``build`` takes their product as
+        its root-free factor.
+        """
+        if divisor.is_zero():
+            raise ZeroDivisionError("exchange with the zero function as divisor")
+        one = self._one
+        if divisor.den != one:
+            raise ValueError("exchange needs a divisor with residual denominator 1")
+        sides = []
+        for pairs in (left, right):
+            unit, fac, first, residuals = 1, None, None, []
+            for value, exp in pairs:
+                if value.den != one:
+                    raise ValueError("exchange needs values with residual denominator 1")
+                if not value.unit:
+                    break
+                if value.unit != 1:
+                    unit *= value.unit**exp
+                if fac is None and exp == 1:
+                    fac, first = value.fac, value.fac
+                else:
+                    if fac is None or fac is first:
+                        fac = {} if fac is None else dict(fac)
+                    for r, e in value.fac.items():
+                        fac[r] = fac.get(r, 0) + e * exp
+                if value.num != one:
+                    for entry in residuals:
+                        if entry[0] == value.num:
+                            entry[1] += exp
+                            break
+                    else:
+                        residuals.append([value.num, exp])
+            else:
+                sides.append((unit, {} if fac is None else fac, residuals))
+        if not sides:
+            return self.zero()
+        if len(sides) == 1:
+            unit, shared, common = sides[0]
+            sides = [(unit, {}, [])]
+            shared = {r: e for r, e in shared.items() if e}
+        else:
+            (_, fl, rl), (_, fr, rr) = sides
+            cl, cr, shared = {}, {}, {}
+            for r, e in fl.items():
+                m = fr.get(r, 0)
+                if e < m:
+                    cr[r] = m - e
+                elif m < e:
+                    cl[r], e = e - m, m
+                if e:
+                    shared[r] = e
+            for r, m in fr.items():
+                if r not in fl:
+                    if m > 0:
+                        cr[r] = m
+                    elif m < 0:
+                        cl[r], shared[r] = -m, m
+            common = []
+            for entry in rl:
+                for other in rr:
+                    if other[0] == entry[0]:
+                        m = min(entry[1], other[1])
+                        entry[1] -= m
+                        other[1] -= m
+                        common.append([entry[0], m])
+                        break
+            sides = [(sides[0][0], cl, rl), (sides[1][0], cr, rr)]
+        products = [None] * len(sides)
+        sden = divisor.num
+        if sden != one:
+            hit = next((entry for entry in common if entry[0] == sden), None)
+            if hit is None and len(sides) == 2:
+                for k in (0, 1):
+                    entry = next((e for e in sides[k][2] if e[1] and e[0] == sden), None)
+                    if entry is not None:
+                        products[1 - k] = _power_product(sides[1 - k][2], one)
+                        quotient = kernel.poly_div_exact(products[1 - k], sden)
+                        if quotient is not None:
+                            products[1 - k], hit = quotient, entry
+                        break
+            if hit is not None:
+                hit[1] -= 1
+                sden = one
+        q = lcm(*(unit.denominator for unit, _, _ in sides))
+        snum = None
+        for (unit, cof, res), product in zip(sides, products):
+            term = self._expand(cof.items(), unit.numerator if q == 1 else int(unit * q))
+            if product is None:
+                product = _power_product(res, one)
+            if product is not one:
+                term = kernel.poly_mul(term, product)
+            snum = term if snum is None else kernel.poly_add(snum, term)
+        for r, e in divisor.fac.items():
+            shared[r] = shared.get(r, 0) - e
+        unit = divisor.unit if q == 1 else divisor.unit * q
+        return self.build(1 / unit, shared, snum, sden, _power_product(common, None))
 
     def product_over(self, pairs) -> "RootRational":
         """prod(value ^ exp) over (value, exp) pairs with int exponents.
@@ -458,11 +596,7 @@ class RootContext:
                             if q != self._one:
                                 side.append([q, m, None])
 
-        def multiplied(side):
-            powers = [kernel.poly_pow(p, e) for p, e, _ in side if e]
-            return reduce(kernel.poly_mul, powers) if powers else self._one
-
-        num, den = multiplied(tops), multiplied(bottoms)
+        num, den = _power_product(tops, self._one), _power_product(bottoms, self._one)
         if num is not self._one and den is not self._one:
             num, den = self._cancel_residuals(num, den)
         return RootRational(self, unit, {r: e for r, e in fac.items() if e}, num, den)

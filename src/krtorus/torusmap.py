@@ -75,8 +75,14 @@ class TorusMorphism:
         return self._y_cache[key]
 
     def monomial_value(self, mono) -> RootRational:
-        """Image of a Laurent monomial {(i,p): exponent}."""
-        return self.ctx.product_over((self.y_value(i, p), e) for (i, p), e in mono.items() if e)
+        """Image of a Laurent monomial {(i,p): exponent}: the y-values are
+        root products, so their root exponents add."""
+        fac = {}
+        for (i, p), e in mono.items():
+            if e:
+                for r, d in self.y_value(i, p).fac.items():
+                    fac[r] = fac.get(r, 0) + d * e
+        return self.ctx.root_product(fac)
 
     # -- initial cluster variables ----------------------------------------
 
@@ -160,11 +166,11 @@ class TorusMorphism:
                     stack.extend(missing)
                     continue
                 grow, shrink, divisor = (memo.get(d, one) for d in deps[:3])
-                nbrs = self.ctx.product_over((memo[d], 1) for d in nbr_keys)
                 if divisor.is_zero():
                     raise ConsistencyError(f"zero divisor in T-system at {key}")
-                grown = self.ctx.product_over(((grow, 1), (shrink, 1)))
-                out = self.ctx.sum_over((grown, nbrs), divisor)
+                out = self.ctx.exchange(
+                    [(grow, 1), (shrink, 1)], [(memo[d], 1) for d in nbr_keys], divisor
+                )
             memo[key] = out
             stack.pop()
         return memo.get(target, one)
@@ -243,8 +249,8 @@ def closed_form_type_d(frame: ARFrame, i: int, s: int, k: int) -> RootRational:
         for p in range(rppp, r + 1):
             for q in range(p + 1, r + 1):
                 exps[theta_d(n, p, q)] -= 1
-    value = frame.root_context.root_product(exps)
-    return value * frame.root_context.from_root_factors(doubled) if doubled else value
+    ctx = frame.root_context
+    return ctx.from_root_factors([*exps.items(), *doubled]) if doubled else ctx.root_product(exps)
 
 
 # -- structural properties of the initial-variable values ---------------------

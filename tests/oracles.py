@@ -327,3 +327,9 @@ def vanishing_order(coeffs, s, p):
         a = out[:-1]
         order += 1
     return order
+
+
+def exchange_by_composition(ctx, left, right, divisor):
+    """(prod left + prod right) / divisor as two products and one sum, each
+    normalized on its own: the exchange step before it was one primitive."""
+    return ctx.sum_over((ctx.product_over(left), ctx.product_over(right)), divisor)

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from krtorus.cartan import build_frame
+from krtorus.cluster import initial_seed, mutate, mutate_sequence
 from krtorus.errors import InvalidInputError
 from krtorus.field import MultiPoly, kernel, rational
 from krtorus.field.poly import integral_primitive
@@ -17,7 +18,7 @@ from krtorus.field.rational import RootContext
 from krtorus.suites import run_suite
 from krtorus.torusmap import TorusMorphism
 
-from oracles import vanishing_order
+from oracles import exchange_by_composition, vanishing_order
 
 
 @pytest.fixture(scope="module")
@@ -968,7 +969,8 @@ def multiplied_out(ctx, value):
 def test_sum_over_keeps_a_shared_residual_factored(kind, divisor_kind, count, data):
     # Summands share the residual R = R1 * R2 of two engine values; the
     # divisor's residual is 1, R1 (divides R), R itself, or a residual R3
-    # that does not divide R, or it has a residual denominator.
+    # that does not divide R, or it has a residual denominator.  The sum
+    # has the parts of the fully multiplied-out fraction.
     ctx, values = engine_values(kind)
     residual = [v for v in values if not v.is_factored()]
     w1, w2, w3 = (data.draw(st.sampled_from(residual)) for _ in range(3))
@@ -1004,16 +1006,21 @@ def test_sum_over_keeps_a_shared_residual_factored(kind, divisor_kind, count, da
 
 
 def test_tsystem_steps_divide_no_expanded_sum(monkeypatch):
-    # An exchange step whose summands share a residual numerator divides
-    # that residual by the divisor's, never the expanded sum.
+    # An exchange step divides the divisor's residual into the residual
+    # product of one side, never into the expanded sum.
     steps = []
     divided = []
 
-    def recorded_sum_over(self, values, divisor=None):
-        values = list(values)
-        steps.append(max(len(v.num) for v in values))
+    def recorded_exchange(self, left, right, divisor):
+        sizes = []
+        for pairs in (left, right):
+            product = self._one
+            for value, e in pairs:
+                product = kernel.poly_mul(product, kernel.poly_pow(value.num, e))
+            sizes.append(len(product))
+        steps.append(max(sizes))
         try:
-            return sum_over(self, values, divisor)
+            return exchange(self, left, right, divisor)
         finally:
             steps.pop()
 
@@ -1022,11 +1029,171 @@ def test_tsystem_steps_divide_no_expanded_sum(monkeypatch):
             divided.append((len(p), steps[-1]))
         return div_exact(p, g)
 
-    sum_over, div_exact = RootContext.sum_over, kernel.poly_div_exact
-    monkeypatch.setattr(RootContext, "sum_over", recorded_sum_over)
+    exchange, div_exact = RootContext.exchange, kernel.poly_div_exact
+    monkeypatch.setattr(RootContext, "exchange", recorded_exchange)
     monkeypatch.setattr(kernel, "poly_div_exact", recorded_div_exact)
     assert run_suite("tsystem", build_frame("D", 6)).ok
     assert divided and all(size <= largest for size, largest in divided)
+
+
+# -- exchange steps ----------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def walk_start(kind, quotient):
+    frame = build_frame(*kind)
+    return initial_seed(TorusMorphism(frame), 2 * frame.N, specialize_frozen=quotient)
+
+
+@given(
+    kind=st.sampled_from([("A", 3), ("D", 4)]),
+    quotient=st.booleans(),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+)
+@settings(max_examples=40, deadline=None)
+def test_exchange_matches_composition_on_mutation_walks(kind, quotient, picks):
+    # Each step mutates a neighbour of the last mutated vertex when there
+    # is a mutable one, so that values build up residuals as in a walk.
+    seed = walk_start(kind, quotient)
+    ctx = seed.calc.ctx
+    mutable = [v for v in seed.quiver.vertices if v not in seed.quiver.frozen]
+    v = None
+    for j in picks:
+        quiver = seed.quiver
+        near = [] if v is None else [
+            u for u, _ in (*quiver.arrows_in(v), *quiver.arrows_out(v)) if u not in quiver.frozen
+        ]
+        pool = near or mutable
+        v = pool[j % len(pool)]
+        left = [(seed.values[a], m) for a, m in quiver.arrows_in(v)]
+        right = [(seed.values[b], m) for b, m in quiver.arrows_out(v)]
+        want = exchange_by_composition(ctx, left, right, seed.values[v])
+        seed = mutate(seed, v)
+        assert parts(seed.values[v]) == parts(want)
+
+
+@pytest.mark.parametrize("kind", [("A", 3), ("D", 4), ("D", 5)])
+def test_exchange_matches_composition_on_tsystem_steps(kind, monkeypatch):
+    steps = []
+    exchange = RootContext.exchange
+
+    def checked(self, left, right, divisor):
+        got = exchange(self, left, right, divisor)
+        assert parts(got) == parts(exchange_by_composition(self, left, right, divisor))
+        steps.append(got)
+        return got
+
+    monkeypatch.setattr(RootContext, "exchange", checked)
+    # Every label of the window and two levels below it, where type A
+    # values carry residuals too.
+    frame = build_frame(*kind)
+    calc = TorusMorphism(frame)
+    for i in frame.datum.vertices():
+        for r in range(1, frame.n_letters[i] + 3):
+            for k in range(1, r + 1):
+                calc.kr_value(i, frame.xi[i] - 2 * (r - 1), k)
+    assert any(not v.is_factored() for v in steps)
+
+
+@lru_cache(maxsize=None)
+def exchange_pools(kind):
+    """Engine values with a residual, and nonzero root products."""
+    ctx, values = engine_values(kind)
+    residual = [v for v in values if not v.is_factored()]
+    factored = [v for v in values if v.is_factored() and not v.is_zero()]
+    return ctx, residual, factored
+
+
+@given(
+    kind=st.sampled_from([("A", 3), ("D", 4)]),
+    case=st.sampled_from(["common", "one side", "neither", "zero"]),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_exchange_matches_composition_on_constructed_steps(kind, case, data):
+    # Root products with exponents up to 3 on both sides, and engine
+    # residuals w1 != w2 placed so that the divisor's residual divides the
+    # sum: w1 on both sides, w1 on one side and w1 * w2 (one residual) on
+    # the other, w1 and w2 on both sides against the divisor w1 * w2, or w1
+    # on the side that does not hold zero.
+    ctx, residual, factored = exchange_pools(kind)
+    w1 = data.draw(st.sampled_from(residual))
+    w2 = data.draw(st.sampled_from(residual))
+    assume(w1.num != w2.num)
+    exps = st.integers(1, 3)
+    picks = st.tuples(st.sampled_from(factored), exps)
+
+    def side():
+        return [data.draw(picks) for _ in range(data.draw(st.integers(0, 3)))]
+
+    left, right = side(), side()
+    divisor = data.draw(st.sampled_from(factored))
+    if case == "common":
+        left.append((w1, data.draw(exps)))
+        right.append((w1, data.draw(exps)))
+        divisor = divisor * w1
+    elif case == "one side":
+        left.append((w1, data.draw(exps)))
+        right.append((w1 * w2, 1))
+        divisor = divisor * w1
+    elif case == "neither":
+        left += [(w1, data.draw(exps)), (w2, 1)]
+        right += [(w1, 1), (w2, data.draw(exps))]
+        divisor = divisor * w1 * w2
+    else:
+        left.append((ctx.zero(), 1))
+        right.append((w1, data.draw(exps)))
+        divisor = divisor * w1
+    if data.draw(st.booleans()):
+        left, right = right, left
+    got = ctx.exchange(left, right, divisor)
+    assert parts(got) == parts(exchange_by_composition(ctx, left, right, divisor))
+    assert got.den == ctx._one
+
+
+@given(kind=st.sampled_from([("A", 3), ("D", 4)]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_exchange_equals_composition_on_random_factor_lists(kind, data):
+    # Random values over residual denominator 1, some zero, drawn from a
+    # small pool so that sides share residuals; the divisor need not divide
+    # the sum, so the result need not be in normal form.
+    ctx = screen_context(*kind)
+
+    def value():
+        if data.draw(st.integers(0, 7)) == 0:
+            return ctx.zero()
+        base = ctx.from_root_factors(root_forms(ctx, data, -1, 1).items(), unit=data.draw(UNITS))
+        return base * ctx.from_fraction(small_poly(ctx, data))
+
+    pool = [value() for _ in range(3)]
+    picks = st.tuples(st.sampled_from(pool), st.integers(1, 2))
+
+    def side():
+        return [data.draw(picks) for _ in range(data.draw(st.integers(0, 3)))]
+
+    left, right = side(), side()
+    divisor = data.draw(st.sampled_from(pool)) if data.draw(st.booleans()) else value()
+    assume(not divisor.is_zero())
+    assert ctx.exchange(left, right, divisor) == exchange_by_composition(ctx, left, right, divisor)
+
+
+def test_engines_exchange_without_products_or_sums(monkeypatch):
+    # Mutation and the T-system reach the field through exchange alone.
+    def forbidden(*args):
+        raise AssertionError("an engine step called product_over or sum_over")
+
+    monkeypatch.setattr(RootContext, "product_over", forbidden)
+    monkeypatch.setattr(RootContext, "sum_over", forbidden)
+    frame = build_frame("E", 6)
+    start = initial_seed(TorusMorphism(frame), 72, specialize_frozen=True)
+    walk = [9, 3, 5, 11]
+    seeds = [start]
+    for v in walk + walk[::-1]:
+        seeds.append(mutate(seeds[-1], v))
+    assert any(not seed.values[9].is_factored() for seed in seeds)
+    assert seeds[-1].quiver == start.quiver
+    assert all(parts(seeds[-1].values[t]) == parts(start.values[t]) for t in start.values)
+    assert run_suite("tsystem", build_frame("D", 6)).ok
 
 
 def test_product_order_does_not_change_the_parts(ctx):
