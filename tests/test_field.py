@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from krtorus.cartan import build_frame
-from krtorus.cluster import initial_seed, mutate, mutate_sequence
+from krtorus.cluster import initial_seed, mutate
 from krtorus.errors import InvalidInputError
 from krtorus.field import MultiPoly, kernel, rational
 from krtorus.field.poly import integral_primitive
