@@ -1,13 +1,16 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failed
-check (the witness is printed), 2 on usage or validation errors.
+check (the witness is printed), 2 on usage or validation errors, 141
+(128 + SIGPIPE, as a shell reports a command that a closed pipe ended)
+when standard output is closed before the output is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -360,12 +363,21 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        return _run(args)
+        code = _run(_parser().parse_args(argv))
+        sys.stdout.flush()
+        return code
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed standard output, as ``| head`` does.  Point the
+        # descriptor at devnull so that the flush at exit cannot fail again
+        # (the advice of the Python documentation on SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -37,9 +37,14 @@ on big integers (Kronecker substitution on a dense tail: Fateman, "Can
 you save time in multiplying polynomials by encoding them as
 integers?", 2010; Harvey, JSC 44, 2009): a product whose smaller operand
 has at least ``_MUL_MIN_TERMS`` terms and at least ``_MUL_MIN_PAIRS``
-pairs of terms, and an exact division of at least ``_DIV_MIN_TERMS``
-terms by a divisor of two or more terms.  Below these sizes, measured on
+pairs of terms, an exact division of at least ``_DIV_MIN_TERMS`` terms
+by a divisor of two or more terms, and, through ``poly_sum_div``, an
+exchange step's sum of products divided by its divisor, when its largest
+product passes the product thresholds.  Below these sizes, measured on
 the E6 and D8 T-system operands, the plain loops are as fast or faster.
+All three are one routine, ``_kron``: every factor is encoded once, the
+products, their sum and the quotient are formed on the encodings, and
+only the result is decoded.
 The terms are grouped by their first n-3 exponents (the head); a group's
 tail becomes one int with one signed slot of B = 8*nb bits for each
 (e[n-3], e[n-2]), at slot e[n-3]*stride + e[n-2], the last exponent
@@ -48,21 +53,27 @@ int}, which the two loops take as they take a polynomial.  Encoding is
 evaluation at powers of two, a ring homomorphism, so the loops' product
 of two coefficients is the product of two groups and their exact step
 the division of two groups; decoding reads the balanced base-2^B digits.
+Slots are written to an ``array`` of machine ints and narrowed to nb
+bytes one byte plane at a time (slice assignment), and read back by
+widening the same way, in the host's byte order.
 The encoding is injective on polynomials whose coefficients satisfy
-|c| < 2^(B-1) and whose e[n-2] stays below the stride.  A product's
-slots are sized from its inputs: no coefficient exceeds
-min(max|a| * sum|b|, sum|a| * max|b|).  A quotient is certified by the
-same bound with max|q| and sum|q|, plus non-negative decoded exponents
-and tail slots of q*g below the stride; a quotient is never returned
-uncertified: when that check fails, the division runs again on the
-packed path, on the polynomials themselves (see ``_kron_div_exact``).
+|c| < 2^(B-1) and whose e[n-2] stays below the stride.  Slots are sized
+from the inputs: no coefficient of a product a*b exceeds
+min(max|a| * sum|b|, sum|a| * max|b|), and a sum's coefficients are
+bounded by the sum of its products' bounds.  A quotient is certified by
+the same bound with max|q| and sum|q|, plus non-negative decoded
+exponents and tail slots of q*g below the stride; a quotient is never
+returned uncertified: when that check fails, the dividend is decoded and
+divided again on the packed path.
 """
 
 import heapq
+import sys
+from array import array
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 _MUL_MIN_TERMS = 16
 _MUL_MIN_PAIRS = 10000
@@ -264,10 +275,10 @@ def _packed_div_exact(p, g):
 # -- the big-integer (Kronecker) encoding ---------------------------------------
 
 
-def _degree(terms):
+def _degree(terms, dense=True):
     """Total degree of ``terms`` if it is homogeneous with int coefficients
-    in at least three variables and holds at least a quarter of all the
-    monomials of its degree, else None.
+    in at least three variables and, when ``dense``, holds at least a
+    quarter of all the monomials of its degree, else None.
 
     T-system residuals are nearly dense, and density keeps the encoding
     small: a group with tail degree t spans at most (t+1) * stride slots,
@@ -280,7 +291,7 @@ def _degree(terms):
     if len(degs) != 1 or n < 3:
         return None
     d = degs.pop()
-    if 4 * len(terms) < comb(d + n - 1, n - 1):
+    if dense and 4 * len(terms) < comb(d + n - 1, n - 1):
         return None
     for c in terms.values():
         if type(c) is not int:
@@ -288,27 +299,130 @@ def _degree(terms):
     return d
 
 
-def _norms(terms):
-    """(max |c|, sum |c|) over the coefficients of ``terms``."""
-    mags = list(map(abs, terms.values()))
-    return max(mags), sum(mags)
+def _bound(factors):
+    """Bound on |c| over the product of the (terms, exp) ``factors``: the
+    least over one factor of its max |c| times the others' sums of |c|."""
+    norms = []
+    for f, k in factors:
+        mags = list(map(abs, f.values()))
+        norms += [(max(mags), sum(mags))] * k
+    total = prod(s for _, s in norms)
+    return min(top * (total // s) for top, s in norms)
+
+
+def poly_sum_div(products, g):
+    """(Sum over ``products`` of the product of each list of (terms,
+    exp >= 1) factors) / g for a primitive int g, on the big-integer
+    encoding; None when g does not divide, or when the sum is not one for
+    the encoding (nothing is then computed).  Its largest product, the
+    largest factor against the others' product in terms, must pass the
+    thresholds of ``poly_mul`` and could fill a quarter of the monomials
+    of its degree, and every factor and g must be homogeneous int
+    polynomials, one total degree for all products."""
+    sizes = [prod(len(f) ** k for f, k in fs) for fs in products]
+    total = max(sizes)
+    if total < _MUL_MIN_PAIRS:
+        return None
+    if total // max(len(f) for f, _ in products[sizes.index(total)]) < _MUL_MIN_TERMS:
+        return None
+    degrees = set()
+    for fs in products:
+        ds = [_degree(f, dense=False) for f, _ in fs]
+        if None in ds:
+            return None
+        degrees.add(sum(d * k for d, (_, k) in zip(ds, fs)))
+    dg, n = _degree(g, dense=False), len(next(iter(g)))
+    if dg is None or len(degrees) != 1 or 4 * total < comb(min(degrees) + n - 1, n - 1):
+        return None
+    return _kron(products, g, degrees.pop() - dg)
+
+
+def _kron(products, g, degree):
+    """The sum over ``products`` of the product of each list of (terms,
+    exp) factors, all homogeneous int, divided exactly by the primitive
+    ``g`` unless g is None: the result, of total degree ``degree``, or
+    None when g does not divide.
+
+    Each factor is encoded once, at the largest sum of tail exponents of a
+    product plus 1 as stride.  If the sum is q*g, q has int coefficients
+    (Gauss), so enc(sum) = enc(q)*enc(g) and every step of the packed
+    division of the groups is exact, with no quotient key negative or
+    above the sum's degree in a head variable; an inexact step or such a
+    key proves failure at any slot width, as encoding is a ring
+    homomorphism.  A quotient from exact steps is the true one when the
+    encoding is injective on the sum (so the slots are sized) and on q*g:
+    the certificate checks that q's exponents are non-negative, that the
+    tail slots of q*g stay below the stride, and that q*g's coefficient
+    bound fits a slot.  Failing it, the sum is decoded and divided on the
+    packed path.
+    """
+    m = len(next(iter(products[0][0][0]))) - 3
+    stride = max(sum(max(e[m + 1] for e in f) * k for f, k in fs) for fs in products) + 1
+    top = sum(map(_bound, products))
+    if g is None:
+        nb = top.bit_length() // 8 + 1
+    else:
+        tail_g = max(e[m + 1] for e in g)
+        if degree < 0 or tail_g >= stride:
+            return None  # q*g would exceed the sum's degree in variable n-1
+        nb = (max(top, max(map(abs, g.values()))).bit_length() + 4) // 8 + 1
+    total = {}
+    for fs in products:
+        encoded = [x for f, k in fs for x in [_groups(f, nb, stride)] * k]
+        total = poly_add(total, reduce(_packed_mul, encoded))
+    if g is None:
+        return _ungroup(total, nb, stride, degree)
+    if not total:
+        return {}
+    q = _packed_div_exact(total, _groups(g, nb, stride))
+    if q is None:
+        return None
+    terms = _ungroup(q, nb, stride, degree)
+    if all(e[-1] >= 0 for e in terms) and max(e[m + 1] for e in terms) + tail_g < stride:
+        if _bound([(terms, 1), (g, 1)]).bit_length() // 8 + 1 <= nb:
+            return terms
+    return _packed_div_exact(_ungroup(total, nb, stride, degree + sum(next(iter(g)))), g)
+
+
+def _kron_mul(a, b, degree):
+    """``_kron`` of the one product a*b, of total degree ``degree``."""
+    return _kron([[(a, 1), (b, 1)]], None, degree)
+
+
+def _kron_div_exact(p, g, degree):
+    """``_kron`` of p / g, the quotient of total degree ``degree``."""
+    return _kron([[(p, 1)]], g, degree)
+
+
+@lru_cache(maxsize=None)
+def _machine(nb):
+    """(typecode, size, native index of each little-endian byte) of the
+    smallest unsigned ``array`` item of at least nb bytes, or None."""
+    for code in "BHILQ":
+        size = array(code).itemsize
+        if size >= nb:
+            order = range(nb) if sys.byteorder == "little" else range(size - 1, size - 1 - nb, -1)
+            return code, size, list(enumerate(order))
+    return None
 
 
 def _groups(terms, nb, stride):
-    """``terms`` encoded as {head: tail int}: the head is the first n-3
-    exponents, and the tail holds each coefficient of the group at slot
-    e[n-3] * stride + e[n-2], in slots of nb bytes."""
-    m = len(next(iter(terms))) - 3
+    """Homogeneous ``terms`` encoded as {head: tail int}: the head is the
+    first n-3 exponents, and the tail holds each coefficient of the group
+    at slot e[n-3] * stride + e[n-2], in slots of nb bytes; a group of
+    tail degree t has t * stride + 1 slots."""
+    first = next(iter(terms))
+    m, degree, half = len(first) - 3, sum(first), 1 << (8 * nb - 1)
+    machine = _machine(nb)
     by_head = {}
     for e, c in terms.items():
         head = e[:m]
-        slot = e[m] * stride + e[m + 1]
-        group = by_head.get(head)
-        if group is None:
-            by_head[head] = [(slot, c)]
-        else:
-            group.append((slot, c))
-    return {head: _encode(group, nb) for head, group in by_head.items()}
+        slots = by_head.get(head)
+        if slots is None:
+            count = (degree - sum(head)) * stride + 1
+            slots = by_head[head] = array(machine[0], [half]) * count if machine else [half] * count
+        slots[e[m] * stride + e[m + 1]] = c + half
+    return {head: _encode(slots, nb) for head, slots in by_head.items()}
 
 
 def _offset(nb, count):
@@ -321,14 +435,20 @@ def _half(nb):
     return (1 << (8 * nb - 1)).to_bytes(nb, "little")
 
 
-def _encode(group, nb):
-    """sum c * 2^(8*nb*slot) over the (slot, c) pairs, for |c| < 2^(8*nb-1)."""
-    count = max(s for s, _ in group) + 1
-    buf = bytearray(_half(nb) * count)
-    half = 1 << (8 * nb - 1)
-    for s, c in group:
-        buf[s * nb:(s + 1) * nb] = (c + half).to_bytes(nb, "little")
-    return int.from_bytes(buf, "little") - _offset(nb, count)
+def _encode(slots, nb):
+    """sum (s - 2^(B-1)) * 2^(B*k) over the slot values s at k, B = 8*nb,
+    each slot holding a coefficient plus 2^(B-1).  An ``array`` of
+    machine items is narrowed to nb bytes a byte plane at a time."""
+    machine = _machine(nb)
+    if machine is None:
+        raw = b"".join(s.to_bytes(nb, "little") for s in slots)
+    else:
+        _, size, planes = machine
+        wide = slots.tobytes()
+        raw = bytearray(nb * len(slots))
+        for k, plane in planes:
+            raw[k::nb] = wide[plane::size]
+    return int.from_bytes(raw, "little") - _offset(nb, len(slots))
 
 
 def _decode(v, nb):
@@ -337,24 +457,19 @@ def _decode(v, nb):
 
     Adding 2^(B-1) to every slot makes all digits non-negative; that one
     addition carries every borrow of the negative digits, so each slot
-    can then be read on its own.  A zero digit reads 2^(B-1).
+    can then be read on its own: widened to machine items a byte plane
+    at a time and read as an ``array``.  A zero digit reads 2^(B-1).
     """
-    size = ((v.bit_length() + 1) // (8 * nb) + 1) * nb
-    raw = (v + _offset(nb, size // nb)).to_bytes(size, "little")
-    return [int.from_bytes(raw[o:o + nb], "little") for o in range(0, size, nb)]
-
-
-def _kron_mul(a, b, degree):
-    """Product of homogeneous int polynomials of total degree summing to
-    ``degree``: the packed product of their encodings."""
-    m = len(next(iter(a))) - 3
-    stride = max(e[m + 1] for e in a) + max(e[m + 1] for e in b) + 1
-    (top_a, sum_a), (top_b, sum_b) = _norms(a), _norms(b)
-    # Each product coefficient is at most min(top_a*sum_b, sum_a*top_b)
-    # in absolute value; one more bit for the sign.
-    nb = min(top_a * sum_b, sum_a * top_b).bit_length() // 8 + 1
-    product = _packed_mul(_groups(a, nb, stride), _groups(b, nb, stride))
-    return _ungroup(product, nb, stride, degree)
+    count = (v.bit_length() + 1) // (8 * nb) + 1
+    raw = (v + _offset(nb, count)).to_bytes(count * nb, "little")
+    machine = _machine(nb)
+    if machine is None:
+        return [int.from_bytes(raw[o:o + nb], "little") for o in range(0, count * nb, nb)]
+    code, size, planes = machine
+    wide = bytearray(size * count)
+    for k, plane in planes:
+        wide[plane::size] = raw[k::nb]
+    return memoryview(wide).cast(code).tolist()
 
 
 def _ungroup(groups, nb, stride, degree):
@@ -371,51 +486,8 @@ def _ungroup(groups, nb, stride, degree):
             tail = tails[rest] = [
                 (x, y, rest - x - y) for x in range(len(digits) // stride + 1) for y in range(stride)
             ]
-        for s, u in enumerate(digits):
-            if u != half:
-                terms[head + tail[s]] = u - half
+        terms.update({head + t: u - half for t, u in zip(tail, digits) if u != half})
     return terms
-
-
-def _kron_div_exact(p, g, degree):
-    """Exact division of homogeneous int polynomials, ``g`` primitive, the
-    quotient of total degree ``degree``: None or the certified quotient.
-
-    The encodings, with slots sized from the coefficients of p and g, go
-    through one packed long division.  If p = q*g, q has int coefficients
-    (Gauss, as g is primitive), so enc(p) = enc(q)*enc(g): every step of
-    the division, one ``divmod`` of the leading remainder group by the
-    divisor's leading group, is exact, and no quotient key is negative or
-    above p's degree in a head variable, so an inexact step or such a key
-    proves failure.  These ``None`` proofs hold at every slot width, as
-    encoding is a ring homomorphism.  A quotient that comes out of exact
-    steps satisfies enc(p) = enc(q)*enc(g) group by group; it equals p's
-    true quotient when the encoding is injective on q*g and on p: every
-    tail exponent of q is non-negative, the tail slots of q*g stay below
-    the stride (those of p do by the choice of stride), and each
-    coefficient of q*g, at most min(max|q| * sum|g|, sum|q| * max|g|),
-    fits a signed slot, as each coefficient of p and g does.  A quotient
-    that fails this certificate is never returned: the division goes to
-    the packed path on p and g themselves.
-    """
-    if degree < 0:
-        return None
-    m = len(next(iter(p))) - 3
-    stride = max(e[m + 1] for e in p) + 1
-    tail_g = max(e[m + 1] for e in g)
-    if tail_g >= stride:
-        return None  # q*g would exceed p's degree in variable n-1
-    top = max(max(map(abs, p.values())), max(map(abs, g.values())))
-    nb = (top.bit_length() + 4) // 8 + 1
-    q = _packed_div_exact(_groups(p, nb, stride), _groups(g, nb, stride))
-    if q is None:
-        return None
-    terms = _ungroup(q, nb, stride, degree)
-    if all(e[-1] >= 0 for e in terms) and max(e[m + 1] for e in terms) + tail_g < stride:
-        (top_q, sum_q), (top_g, sum_g) = _norms(terms), _norms(g)
-        if min(top_q * sum_g, sum_q * top_g).bit_length() // 8 + 1 <= nb:
-            return terms
-    return _packed_div_exact(p, g)
 
 
 def poly_div_linear(p, form, pivot):

@@ -23,9 +23,13 @@ per side sums root exponents and collects residual factors, the sides
 share their least root exponents and the residuals both hold, and only
 the cofactors are expanded, on packed monomials.  D's residual cancels
 against a shared factor, or against a factor of one side after dividing
-the other side's residual product; only any other D divides the expanded
-sum.  ``build`` then screens that sum alone and multiplies the shared
-residuals, which hold no root form, in last.  Other sums are normalized
+the other side's residual product.  Any other D divides the sum of the
+two sides' factor lists, cofactor and residual powers, in
+``kernel.poly_sum_div``, which multiplies, adds and divides large steps
+on big-integer encodings and decodes only the quotient; a smaller step's
+expanded sum is divided in ``build``.  ``build`` screens the quotient
+alone and multiplies the shared residuals, which hold no root form, in
+last.  Other sums are normalized
 once by ``RootContext.sum_over``; products, quotients and powers are
 formed in one pass by ``RootContext.product_over``, where the residuals
 of values meet.  No general multivariate gcd is ever needed, and equality
@@ -436,9 +440,15 @@ class RootContext:
         against a shared residual, or against a residual of one side, when
         D then exactly divides the other side's residual product, as it
         does when the sum is divisible by D (D holds no root form).  Any
-        other D divides the expanded sum in ``build``.  The shared
-        residuals hold no root form, so ``build`` takes their product as
-        its root-free factor.
+        other D divides the sum of the two sides, each passed as its factor
+        list (the cofactor expansion and the residuals with their
+        multiplicities), in ``kernel.poly_sum_div``: a large step is
+        multiplied, added and divided on big-integer encodings, and
+        ``build`` receives the quotient with residual denominator 1.  A
+        smaller step, below the kernel's product thresholds, or a sum that
+        D does not divide, is expanded and divided in ``build``.  The
+        shared residuals hold no root form, so ``build`` takes their
+        product as its root-free factor.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("exchange with the zero function as divisor")
@@ -521,18 +531,25 @@ class RootContext:
                 hit[1] -= 1
                 sden = one
         q = lcm(*(unit.denominator for unit, _, _ in sides))
-        snum = None
+        factors = []
         for (unit, cof, res), product in zip(sides, products):
-            term = self._expand(cof.items(), unit.numerator if q == 1 else int(unit * q))
-            if product is None:
-                product = _power_product(res, one)
-            if product is not one:
-                term = kernel.poly_mul(term, product)
-            snum = term if snum is None else kernel.poly_add(snum, term)
+            cofactor = self._expand(cof.items(), unit.numerator if q == 1 else int(unit * q))
+            res = [(p, m) for p, m in res if m] if product is None else [(product, 1)]
+            factors.append([(cofactor, 1), *res])
         for r, e in divisor.fac.items():
             shared[r] = shared.get(r, 0) - e
         unit = divisor.unit if q == 1 else divisor.unit * q
-        return self.build(1 / unit, shared, snum, sden, _power_product(common, None))
+        free = _power_product(common, None)
+        if sden != one:
+            quotient = kernel.poly_sum_div(factors, sden)
+            if quotient is not None:
+                return self.build(1 / unit, shared, quotient, one, free)
+        snum = None
+        for (cofactor, _), *res in factors:
+            product = _power_product(res, one)
+            term = cofactor if product is one else kernel.poly_mul(cofactor, product)
+            snum = term if snum is None else kernel.poly_add(snum, term)
+        return self.build(1 / unit, shared, snum, sden, free)
 
     def product_over(self, pairs) -> "RootRational":
         """prod(value ^ exp) over (value, exp) pairs with int exponents.

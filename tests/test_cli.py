@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import krtorus
 from krtorus import cli
 from krtorus.cartan import DynkinDatum, braid_shuffle, build_frame, render_orientation
 from krtorus.cli import (
@@ -628,3 +632,27 @@ def test_generated_argv_exit_cleanly(argv):
     assert code in (0, 1, 2), argv
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_closed_stdout_exits_quietly():
+    # A reader that stops early, as ``| head -c 20`` does: the remaining
+    # output goes nowhere, with no traceback and no "Exception ignored"
+    # line on stderr, and the exit status is 141 (128 + SIGPIPE).
+    src = os.path.dirname(os.path.dirname(krtorus.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["ctilde", "--type", "A", "--rank", "14", "1", "2", "10000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "krtorus.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        # 10000 lines overflow any pipe buffer, so the writer is still
+        # writing when the read end closes.
+        assert proc.stdout.read(20) == b"m=  1  0\nm=  2  1\nm="
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""

@@ -389,6 +389,98 @@ def test_sparse_operands_stay_on_the_packed_path():
     assert not spy.called
 
 
+def fold_sum(products):
+    """Reference sum of products of (terms, exp) factors, by poly_mul and poly_add."""
+    total = {}
+    for factors in products:
+        product = {(0,) * len(next(iter(factors[0][0]))): 1}
+        for f, k in factors:
+            for _ in range(k):
+                product = kernel.poly_mul(product, f)
+        total = kernel.poly_add(total, product)
+    return total
+
+
+@given(
+    n=st.integers(3, 6),
+    shape=st.lists(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 2)), min_size=1, max_size=3),
+                   min_size=1, max_size=2),
+    mode=st.sampled_from(sorted(KRON_COEFFS)),
+    divisible=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=40, deadline=None)
+def test_encoded_sum_division_matches_folded_division(n, shape, mode, divisible, seed):
+    # One or two products of one to three dense homogeneous factors (each
+    # of degree 0-2, to the power 1 or 2) over g, on the big-integer
+    # encoding, against poly_div_exact of the sum that poly_mul and
+    # poly_add fold.  The factors of a product are padded with linear
+    # ones so that every product has one degree.  When ``divisible``, g is
+    # a further factor of every product, so g divides the sum; otherwise a
+    # monomial of the sum's degree is added to a multiple of g, which no g
+    # of two or more terms divides.
+    rnd = random.Random(seed)
+    coeff = KRON_COEFFS[mode]
+    g = dense(rnd, n, rnd.randint(1, 2), 0.7, coeff)
+    g[min(g)] = 1  # primitive
+    assume(len(g) >= 2)
+    degree = max(sum(d * k for d, k in factors) for factors in shape)
+    products = []
+    for factors in shape:
+        fs = [(dense(rnd, n, d, 0.7, coeff) or {(d,) + (0,) * (n - 1): 1}, k) for d, k in factors]
+        fs += [(dense(rnd, n, 1, 1, coeff), 1)] * (degree - sum(d * k for d, k in factors))
+        products.append(fs + [(g, 1)])
+    if not divisible:
+        products.append([({(degree + sum(next(iter(g))),) + (0,) * (n - 1): 1}, 1)])
+    want = kernel.poly_div_exact(fold_sum(products), g)
+    assert (want is not None) == divisible
+    assert kernel._kron(products, g, degree) == want
+    # poly_sum_div either declines, for a sum this small, or agrees.
+    assert kernel.poly_sum_div(products, g) in (None, want)
+
+
+def test_encoded_sum_division_hands_over_to_packed_path():
+    # p = (x - z) * q with p's coefficients +1 or -1, split into two
+    # products: the slots are sized from the bound 2 on the sum's
+    # coefficients, one byte, and q's coefficients up to K cannot be read
+    # back from one byte for K = 200.  The uncertified quotient is not
+    # returned: the sum is decoded and divided again on the packed path.
+    for K, calls in ((50, 1), (200, 2)):
+        p, g, q = telescoping_division(K, 4)
+        keys = sorted(p)
+        products = [[({e: p[e] for e in keys[::2]}, 1)], [({e: p[e] for e in keys[1::2]}, 1)]]
+        packed = kernel._packed_div_exact
+        with mock.patch.object(kernel, "_packed_div_exact", wraps=packed) as spy:
+            assert kernel._kron(products, g, sum(next(iter(q)))) == q
+        assert spy.call_count == calls
+        if calls == 2:
+            assert spy.call_args_list[1].args == (p, g)
+
+
+@pytest.mark.parametrize("nb", range(1, 10))
+def test_codec_round_trips_at_every_slot_width(nb):
+    # Coefficients at +-(2^(8nb-1) - 1), the widest a slot of nb bytes
+    # holds, on every monomial of degree 4 in 3-6 variables.  Three
+    # variables make one group, whose int is checked against its
+    # definition: each coefficient times 2^(8nb * (e[0] * stride + e[1])).
+    # Slots of 1, 2, 4 and 8 bytes are machine items; the others are
+    # narrowed from or widened to them, and 9 bytes take no array.
+    top = (1 << (8 * nb - 1)) - 1
+    for n in range(3, 7):
+        p = {}
+        for k, picks in enumerate(combinations_with_replacement(range(n), 4)):
+            p[tuple(picks.count(i) for i in range(n))] = top if k % 3 else -top
+        stride = max(e[n - 2] for e in p) + 1 + nb % 2
+        groups = kernel._groups(p, nb, stride)
+        assert kernel._ungroup(groups, nb, stride, 4) == p
+        if n == 3:
+            assert groups == {(): sum(c << (8 * nb * (e[0] * stride + e[1])) for e, c in p.items())}
+        assert kernel._kron([[(p, 1)]], None, 4) == p
+        # A sum of two products is sized by the sum of their bounds: 2p
+        # needs one byte more than p.
+        assert kernel._kron([[(p, 1)], [(p, 1)]], None, 4) == {e: 2 * c for e, c in p.items()}
+
+
 @given(a=poly_dicts(), b=poly_dicts(), c=poly_dicts())
 @settings(max_examples=60, deadline=None)
 def test_poly_ring_axioms(a, b, c):
@@ -1034,6 +1126,55 @@ def test_tsystem_steps_divide_no_expanded_sum(monkeypatch):
     monkeypatch.setattr(kernel, "poly_div_exact", recorded_div_exact)
     assert run_suite("tsystem", build_frame("D", 6)).ok
     assert divided and all(size <= largest for size, largest in divided)
+
+
+def test_e6_exchange_steps_encode_before_they_decode(monkeypatch):
+    # The E6 labels of the T-system benchmark: every fundamental label
+    # down to depth 9 below the top of vertex 1.  Within one exchange step
+    # no polynomial reaches _groups once _ungroup has decoded one, so
+    # nothing decoded in the step, nor anything made from it, is encoded
+    # again: the large steps encode their factors, divide, and decode the
+    # quotient alone.
+    encoded, decoded = [], []
+
+    def recorded_exchange(self, *args):
+        encoded.append(0)
+        decoded.append(0)
+        return exchange(self, *args)
+
+    def recorded_groups(terms, nb, stride):
+        assert not decoded[-1], "a step encodes after it has decoded"
+        encoded[-1] += 1
+        return groups(terms, nb, stride)
+
+    def recorded_ungroup(*args):
+        decoded[-1] += 1
+        return ungroup(*args)
+
+    def recorded_sum_div(products, g):
+        out = sum_div(products, g)
+        if out is not None:
+            quotients.append(out)
+        return out
+
+    quotients = []
+    exchange, groups, ungroup = RootContext.exchange, kernel._groups, kernel._ungroup
+    sum_div = kernel.poly_sum_div
+    monkeypatch.setattr(RootContext, "exchange", recorded_exchange)
+    monkeypatch.setattr(kernel, "poly_sum_div", recorded_sum_div)
+    monkeypatch.setattr(kernel, "_groups", recorded_groups)
+    monkeypatch.setattr(kernel, "_ungroup", recorded_ungroup)
+    frame = build_frame("E", 6)
+    calc = TorusMorphism(frame)
+    top = frame.xi[1]
+    labels = [(i, p) for i in frame.xi for p in range(frame.xi[i], top - 10, -2)]
+    assert len(labels) == 25
+    for i, p in sorted(labels, key=lambda ip: (-ip[1], ip[0])):
+        calc.kr_value(i, p, 1)
+    # Steps that decode decode once: the quotient.  Five steps divide
+    # their sums of products on the encoding.
+    assert set(decoded) == {0, 1}
+    assert len(quotients) == 5
 
 
 # -- exchange steps ----------------------------------------------------------
