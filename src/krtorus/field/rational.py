@@ -29,11 +29,11 @@ two sides' factor lists, cofactor and residual powers, in
 on big-integer encodings and decodes only the quotient; a smaller step's
 expanded sum is divided in ``build``.  ``build`` screens the quotient
 alone and multiplies the shared residuals, which hold no root form, in
-last.  Other sums are normalized
-once by ``RootContext.sum_over``; products, quotients and powers are
-formed in one pass by ``RootContext.product_over``, where the residuals
-of values meet.  No general multivariate gcd is ever needed, and equality
-is decided by subtraction.
+last.  Other sums are normalized once by ``RootContext.sum_over``;
+products, quotients and powers are formed in one pass by
+``RootContext.product_over``, where the residuals of values meet.  No
+general multivariate gcd is ever needed, and equality is decided by
+subtraction.
 """
 
 from __future__ import annotations
