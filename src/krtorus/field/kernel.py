@@ -22,7 +22,9 @@ test of the exact division.  That division keeps the exponents of its
 pending remainder in a max-heap and pops the leading term instead of
 scanning for it; a term that cancels stays in the heap and is skipped
 when it comes up.  A product with a lone constant term only scales the
-other operand.
+other operand.  A product of linear forms, ``poly_form_product``, is
+built on packed monomials as well, one shift-and-add pass per form, so
+no caller needs to know how monomials are packed.
 
 Each division step is one integer ``divmod`` by the divisor's leading
 coefficient, and a nonzero remainder proves that the divisor does not
@@ -30,21 +32,21 @@ divide: ``poly_div_exact`` makes the divisor primitive and the dividend
 integral first, and by Gauss's lemma an int polynomial's quotient by a
 primitive one, when it exists, has int coefficients.
 
-Large operands that are homogeneous in at least three variables with int
-coefficients and hold at least a quarter of the monomials of their
-degree, the shape of T-system residuals, go through the same two loops
-on big integers (Kronecker substitution on a dense tail: Fateman, "Can
-you save time in multiplying polynomials by encoding them as
-integers?", 2010; Harvey, JSC 44, 2009): a product whose smaller operand
-has at least ``_MUL_MIN_TERMS`` terms and at least ``_MUL_MIN_PAIRS``
-pairs of terms, an exact division of at least ``_DIV_MIN_TERMS`` terms
-by a divisor of two or more terms, and, through ``poly_sum_div``, an
-exchange step's sum of products divided by its divisor, when its largest
-product passes the product thresholds.  Below these sizes, measured on
-the E6 and D8 T-system operands, the plain loops are as fast or faster.
-All three are one routine, ``_kron``: every factor is encoded once, the
-products, their sum and the quotient are formed on the encodings, and
-only the result is decoded.
+Every sum of products is formed in one place, ``poly_sum_div``, which
+also divides it exactly when given a divisor; ``poly_mul`` and
+``poly_div_exact`` are the plain loops.  One gate, ``_gate``, sends a
+large sum of homogeneous int products, the shape of T-system residuals,
+through the same two loops on big integers (Kronecker substitution on a
+dense tail: Fateman, "Can you save time in multiplying polynomials by
+encoding them as integers?", 2010; Harvey, JSC 44, 2009).  Its largest
+product must have at least ``_MUL_MIN_PAIRS`` pairs of terms and at
+least ``_MUL_MIN_TERMS`` terms against its largest factor, or, for a sum
+divided by a divisor of two or more terms, at least ``_DIV_MIN_TERMS``
+terms; and it must be able to fill a quarter of the monomials of its
+degree.  Below these sizes, measured on the E6 and D8 T-system operands,
+the plain loops are as fast or faster.  On the encoding, ``_kron``
+encodes every factor once, forms the products, their sum and the
+quotient on the encodings, and decodes only the result.
 The terms are grouped by their first n-3 exponents (the head); a group's
 tail becomes one int with one signed slot of B = 8*nb bits for each
 (e[n-3], e[n-2]), at slot e[n-3]*stride + e[n-2], the last exponent
@@ -135,10 +137,6 @@ def poly_mul(a, b):
         (e, c), = a.items()
         if not any(e):
             return {eb: c * cb for eb, cb in b.items()}
-    if len(a) >= _MUL_MIN_TERMS and len(a) * len(b) >= _MUL_MIN_PAIRS:
-        da, db = _degree(a), _degree(b)
-        if da is not None and db is not None:
-            return _kron_mul(a, b, da + db)
     return _packed_mul(a, b)
 
 
@@ -165,6 +163,47 @@ def _packed_mul(a, b):
         for kb, cb in pb:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
+    return _unpack(out, shifts, mask)
+
+
+@lru_cache(maxsize=1 << 12)
+def _form(coords, width):
+    """The linear form ``coords`` packed at field ``width``: one
+    (1 << field shift, coordinate) pair per nonzero coordinate."""
+    shifts, _, _ = _layout(len(coords), width)
+    return tuple((1 << s, c) for s, c in zip(shifts, coords) if c)
+
+
+def poly_form_product(n, forms, scale=1):
+    """``scale`` times the product of coords ^ e over the (coords, e)
+    pairs of linear forms in n variables with e > 0.
+
+    The product runs on packed monomials, fields sized from its degree: a
+    form with one coordinate is a monomial, which shifts the start key,
+    and each other factor adds every term shifted into each of the form's
+    fields, times its coordinate.  Packed forms come from one table,
+    ``_form``, kept per form and field width.
+    """
+    forms = [(coords, e) for coords, e in forms if e > 0]
+    width = _width(sum(e for _, e in forms))
+    start, linear = 0, []
+    for coords, e in forms:
+        step = _form(coords, width)
+        if len(step) == 1:
+            (shift, c), = step
+            start += shift * e
+            scale *= c**e
+        else:
+            linear += [step] * e
+    out = {start: scale}
+    for step in linear:
+        nxt = {}
+        get = nxt.get
+        for k, c in out.items():
+            for shift, a in step:
+                nxt[k + shift] = get(k + shift, 0) + c * a
+        out = nxt
+    shifts, mask, _ = _layout(n, width)
     return _unpack(out, shifts, mask)
 
 
@@ -204,13 +243,7 @@ def poly_div_exact(p, g):
     if Fraction in map(type, p.values()):
         p, content = integral_primitive(p)
         scale *= content
-    dp = dg = None
-    if len(p) >= _DIV_MIN_TERMS and len(g) >= 2:
-        dp, dg = _degree(p), _degree(g)
-    if dp is None or dg is None:
-        q = _packed_div_exact(p, g)
-    else:
-        q = _kron_div_exact(p, g, dp - dg)
+    q = _packed_div_exact(p, g)
     if q is None or scale == 1:
         return q
     for e, c in q.items():
@@ -275,28 +308,16 @@ def _packed_div_exact(p, g):
 # -- the big-integer (Kronecker) encoding ---------------------------------------
 
 
-def _degree(terms, dense=True):
+def _degree(terms):
     """Total degree of ``terms`` if it is homogeneous with int coefficients
-    in at least three variables and, when ``dense``, holds at least a
-    quarter of all the monomials of its degree, else None.
-
-    T-system residuals are nearly dense, and density keeps the encoding
-    small: a group with tail degree t spans at most (t+1) * stride slots,
-    at most stride times the number of monomials it could hold.  Sparse
-    operands, with few pairs of terms meeting in one monomial, are faster
-    on the packed path anyway.
-    """
+    in at least three variables, else None."""
     degs = set(map(sum, terms))
-    n = len(next(iter(terms)))
-    if len(degs) != 1 or n < 3:
-        return None
-    d = degs.pop()
-    if dense and 4 * len(terms) < comb(d + n - 1, n - 1):
+    if len(degs) != 1 or len(next(iter(terms))) < 3:
         return None
     for c in terms.values():
         if type(c) is not int:
             return None
-    return d
+    return degs.pop()
 
 
 def _bound(factors):
@@ -310,31 +331,67 @@ def _bound(factors):
     return min(top * (total // s) for top, s in norms)
 
 
-def poly_sum_div(products, g):
-    """(Sum over ``products`` of the product of each list of (terms,
-    exp >= 1) factors) / g for a primitive int g, on the big-integer
-    encoding; None when g does not divide, or when the sum is not one for
-    the encoding (nothing is then computed).  Its largest product, the
-    largest factor against the others' product in terms, must pass the
-    thresholds of ``poly_mul`` and could fill a quarter of the monomials
-    of its degree, and every factor and g must be homogeneous int
-    polynomials, one total degree for all products."""
-    sizes = [prod(len(f) ** k for f, k in fs) for fs in products]
-    total = max(sizes)
-    if total < _MUL_MIN_PAIRS:
-        return None
-    if total // max(len(f) for f, _ in products[sizes.index(total)]) < _MUL_MIN_TERMS:
-        return None
+def poly_sum_div(products, g=None):
+    """The sum over ``products`` of the product of each list of (terms,
+    exp >= 1) factors, divided exactly by the primitive int ``g`` unless g
+    is None: the result, or None when g does not divide.  A sum to be
+    divided must have int coefficients.
+
+    A sum that passes ``_gate`` is formed and divided on the big-integer
+    encoding.  Any other is folded with ``poly_mul`` and ``poly_add``; a
+    sum equal to g gives 1 without a division, as do most mutation steps,
+    and ``_packed_div_exact`` divides the rest.
+    """
+    degree = _gate(products, g)
+    if degree is not None:
+        return _kron(products, g, degree)
+    total = None
+    for fs in products:
+        term = reduce(poly_mul, [poly_pow(f, k) for f, k in fs])
+        total = term if total is None else poly_add(total, term)
+    if g is None or not total:
+        return total
+    if total == g:
+        return {(0,) * len(next(iter(g))): 1}
+    return _packed_div_exact(total, g)
+
+
+def _gate(products, g):
+    """Total degree of ``poly_sum_div``'s result if its sum goes on the
+    encoding, else None.
+
+    The size of a product, read against the thresholds in the module
+    docstring, is the product of its factors' term counts.  The density
+    test keeps the encoding small: a group with tail degree t spans at
+    most (t+1) * stride slots, at most stride times the number of
+    monomials it could hold, and sparse operands, with few pairs of terms
+    meeting in one monomial, are faster on the packed path anyway.  Every
+    factor and g must be homogeneous int polynomials in at least three
+    variables, one total degree for all products.
+    """
+    size = 0
+    for fs in products:
+        s = 1
+        for f, k in fs:
+            s *= len(f) ** k
+        if s > size:
+            size, largest = s, fs
+    if g is None or len(g) < 2 or size < _DIV_MIN_TERMS:
+        if size < _MUL_MIN_PAIRS or size // max(len(f) for f, _ in largest) < _MUL_MIN_TERMS:
+            return None
     degrees = set()
     for fs in products:
-        ds = [_degree(f, dense=False) for f, _ in fs]
+        ds = [_degree(f) for f, _ in fs]
         if None in ds:
             return None
         degrees.add(sum(d * k for d, (_, k) in zip(ds, fs)))
-    dg, n = _degree(g, dense=False), len(next(iter(g)))
-    if dg is None or len(degrees) != 1 or 4 * total < comb(min(degrees) + n - 1, n - 1):
+    degree, n = max(degrees), len(next(iter(products[0][0][0])))
+    if len(degrees) != 1 or 4 * size < comb(degree + n - 1, n - 1):
         return None
-    return _kron(products, g, degrees.pop() - dg)
+    if g is None:
+        return degree
+    dg = _degree(g)
+    return None if dg is None else degree - dg
 
 
 def _kron(products, g, degree):
@@ -363,8 +420,6 @@ def _kron(products, g, degree):
         nb = top.bit_length() // 8 + 1
     else:
         tail_g = max(e[m + 1] for e in g)
-        if degree < 0 or tail_g >= stride:
-            return None  # q*g would exceed the sum's degree in variable n-1
         nb = (max(top, max(map(abs, g.values()))).bit_length() + 4) // 8 + 1
     total = {}
     for fs in products:
@@ -374,6 +429,8 @@ def _kron(products, g, degree):
         return _ungroup(total, nb, stride, degree)
     if not total:
         return {}
+    if degree < 0 or tail_g >= stride:
+        return None  # q*g would exceed the sum's degree in variable n-1
     q = _packed_div_exact(total, _groups(g, nb, stride))
     if q is None:
         return None
@@ -382,16 +439,6 @@ def _kron(products, g, degree):
         if _bound([(terms, 1), (g, 1)]).bit_length() // 8 + 1 <= nb:
             return terms
     return _packed_div_exact(_ungroup(total, nb, stride, degree + sum(next(iter(g)))), g)
-
-
-def _kron_mul(a, b, degree):
-    """``_kron`` of the one product a*b, of total degree ``degree``."""
-    return _kron([[(a, 1), (b, 1)]], None, degree)
-
-
-def _kron_div_exact(p, g, degree):
-    """``_kron`` of p / g, the quotient of total degree ``degree``."""
-    return _kron([[(p, 1)]], g, degree)
 
 
 @lru_cache(maxsize=None)

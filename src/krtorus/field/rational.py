@@ -21,19 +21,21 @@ which one lookup in the root set decides.  An exchange step
 call of ``RootContext.exchange`` on the factor lists of A and B: one pass
 per side sums root exponents and collects residual factors, the sides
 share their least root exponents and the residuals both hold, and only
-the cofactors are expanded, on packed monomials.  D's residual cancels
-against a shared factor, or against a factor of one side after dividing
-the other side's residual product.  Any other D divides the sum of the
-two sides' factor lists, cofactor and residual powers, in
-``kernel.poly_sum_div``, which multiplies, adds and divides large steps
-on big-integer encodings and decodes only the quotient; a smaller step's
-expanded sum is divided in ``build``.  ``build`` screens the quotient
-alone and multiplies the shared residuals, which hold no root form, in
-last.  Other sums are normalized once by ``RootContext.sum_over``;
-products, quotients and powers are formed in one pass by
-``RootContext.product_over``, where the residuals of values meet.  No
-general multivariate gcd is ever needed, and equality is decided by
-subtraction.
+the cofactors are expanded, by ``kernel.poly_form_product``.  D's
+residual cancels against a shared factor, or against a factor of one
+side after dividing the other side's residual product.  The two sides'
+factor lists, cofactor and residual powers, go to
+``kernel.poly_sum_div``, which forms their sum and divides it by any
+other D: on big-integer encodings for a large step, on packed monomials
+otherwise.  ``build`` screens the quotient alone and multiplies the
+shared residuals, which hold no root form, in last.  Other sums are
+normalized once by ``RootContext.sum_over``, whose summands reach the
+same ``kernel.poly_sum_div`` as factor lists; products, quotients and
+powers are formed in one pass by ``RootContext.product_over``, where
+the residuals of values meet.  No general multivariate gcd is ever
+needed, and equality is decided by subtraction.  How monomials are
+packed is the kernel's business alone: this module calls only its
+public functions.
 """
 
 from __future__ import annotations
@@ -71,11 +73,6 @@ def form_str(coords) -> str:
         elif c:
             parts.append(f"{c}*a{k + 1}")
     return "+".join(parts) if parts else "0"
-
-
-def _steps(coords, shifts):
-    """The linear form ``coords`` packed: (1 << field shift, coordinate) pairs."""
-    return [(1 << s, c) for s, c in zip(shifts, coords) if c]
 
 
 def _power_product(pairs, one):
@@ -124,7 +121,6 @@ class RootContext:
         self.roots = tuple(sorted(roots, key=lambda r: (sum(r), r)))
         self.root_set = frozenset(self.roots)
         self._one = {(0,) * self.n: 1}
-        self._steps = {}
         self._pivot = {r: max(i for i, c in enumerate(r) if c) for r in self.roots}
         self._mask = {
             r: sum(1 << i for i, c in enumerate(r) if c) for r in self.roots
@@ -183,8 +179,8 @@ class RootContext:
         if unit == 0:
             return self.zero()
         fac = {r: e for r, e in fac.items() if e}
-        num = self._expand(rest.items())
-        den = self._expand((f, -e) for f, e in rest.items())
+        num = kernel.poly_form_product(self.n, rest.items())
+        den = kernel.poly_form_product(self.n, ((f, -e) for f, e in rest.items()))
         return RootRational(self, unit, fac, num, den)
 
     def root_product(self, exps) -> "RootRational":
@@ -207,40 +203,6 @@ class RootContext:
         check_exponents(nt, self.n)
         check_exponents(dt, self.n)
         return self.build(1, {}, nt, dt)
-
-    def _expand(self, forms, scale=1):
-        """``scale`` times the product of ``coords ^ e`` over the (coords, e) pairs with e > 0.
-
-        The product runs on packed monomials, fields sized from its degree
-        (see ``kernel``): a form with one coordinate is a monomial, which
-        shifts the start key, and each other factor adds every term shifted
-        into each of the form's fields, times its coordinate.  Root forms
-        come packed from a table kept per field width.
-        """
-        forms = [(coords, e) for coords, e in forms if e > 0]
-        width = kernel._width(sum(e for _, e in forms))
-        shifts, mask, _ = kernel._layout(self.n, width)
-        steps = self._steps.get(width)
-        if steps is None:
-            steps = self._steps[width] = {r: _steps(r, shifts) for r in self.roots}
-        start, linear = 0, []
-        for coords, e in forms:
-            step = steps.get(coords) or _steps(coords, shifts)
-            if len(step) == 1:
-                (shift, c), = step
-                start += shift * e
-                scale *= c**e
-            else:
-                linear += [step] * e
-        out = {start: scale}
-        for step in linear:
-            nxt = {}
-            get = nxt.get
-            for k, c in out.items():
-                for shift, a in step:
-                    nxt[k + shift] = get(k + shift, 0) + c * a
-            out = nxt
-        return kernel._unpack(out, shifts, mask)
 
     # -- normalization --------------------------------------------------
 
@@ -378,8 +340,10 @@ class RootContext:
         root factors stay factored, the rest expand into cofactors, the
         units share one denominator, and each distinct denominator residual
         is multiplied in once) and the divisor's residuals multiply in
-        crosswise.  Exchange steps, whose summands are products, go to
-        ``exchange`` instead.
+        crosswise.  Each summand reaches ``kernel.poly_sum_div`` as its
+        factor list: its cofactor, its residual numerator and the other
+        summands' denominator residuals.  Exchange steps, whose summands
+        are products, go to ``exchange`` instead.
         """
         inv = self.one() if divisor is None else divisor.inverse()
         values = [v for v in values if not v.is_zero()]
@@ -405,18 +369,16 @@ class RootContext:
         for v in values:
             if v.den != one and v.den not in dens:
                 dens.append(v.den)
-        snum = None
+        products = []
         for v in values:
             # Cofactor exponents are >= 0 by construction, so they expand.
             fac = v.fac
             exps = [(r, d) for r, e in fac.items() if (d := e - shared.get(r, 0))]
             exps += [low for low in lows if low[0] not in fac]
-            term = self._expand(exps, v.unit.numerator if q == 1 else int(v.unit * q))
-            term = kernel.poly_mul(term, v.num)
-            for d in dens:
-                if d != v.den:
-                    term = kernel.poly_mul(term, d)
-            snum = term if snum is None else kernel.poly_add(snum, term)
+            scale = v.unit.numerator if q == 1 else int(v.unit * q)
+            cofactor = kernel.poly_form_product(self.n, exps, scale)
+            products.append([(cofactor, 1), (v.num, 1), *((d, 1) for d in dens if d != v.den)])
+        snum = kernel.poly_sum_div(products)
         sden = inv.den
         for d in dens:
             sden = kernel.poly_mul(sden, d)
@@ -439,16 +401,16 @@ class RootContext:
         expanded.  The divisor's residual D is cancelled where it stands:
         against a shared residual, or against a residual of one side, when
         D then exactly divides the other side's residual product, as it
-        does when the sum is divisible by D (D holds no root form).  Any
-        other D divides the sum of the two sides, each passed as its factor
-        list (the cofactor expansion and the residuals with their
-        multiplicities), in ``kernel.poly_sum_div``: a large step is
-        multiplied, added and divided on big-integer encodings, and
-        ``build`` receives the quotient with residual denominator 1.  A
-        smaller step, below the kernel's product thresholds, or a sum that
-        D does not divide, is expanded and divided in ``build``.  The
-        shared residuals hold no root form, so ``build`` takes their
-        product as its root-free factor.
+        does when the sum is divisible by D (D holds no root form).  Each
+        side goes to ``kernel.poly_sum_div`` as its factor list (the
+        cofactor expansion and the residuals with their multiplicities),
+        which forms the sum and divides it by any other D, on big-integer
+        encodings for a large step and on packed monomials otherwise;
+        ``build`` receives the quotient with residual denominator 1.  Only
+        a sum that D does not divide, which no engine step makes, is formed
+        again and goes to ``build`` over D.  The shared residuals hold no
+        root form, so ``build`` takes their product as its root-free
+        factor.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("exchange with the zero function as divisor")
@@ -514,7 +476,7 @@ class RootContext:
                         common.append([entry[0], m])
                         break
             sides = [(sides[0][0], cl, rl), (sides[1][0], cr, rr)]
-        products = [None] * len(sides)
+        divided = [None] * len(sides)
         sden = divisor.num
         if sden != one:
             hit = next((entry for entry in common if entry[0] == sden), None)
@@ -522,34 +484,28 @@ class RootContext:
                 for k in (0, 1):
                     entry = next((e for e in sides[k][2] if e[1] and e[0] == sden), None)
                     if entry is not None:
-                        products[1 - k] = _power_product(sides[1 - k][2], one)
-                        quotient = kernel.poly_div_exact(products[1 - k], sden)
+                        quotient = kernel.poly_div_exact(_power_product(sides[1 - k][2], one), sden)
                         if quotient is not None:
-                            products[1 - k], hit = quotient, entry
+                            divided[1 - k], hit = quotient, entry
                         break
             if hit is not None:
                 hit[1] -= 1
                 sden = one
         q = lcm(*(unit.denominator for unit, _, _ in sides))
-        factors = []
-        for (unit, cof, res), product in zip(sides, products):
-            cofactor = self._expand(cof.items(), unit.numerator if q == 1 else int(unit * q))
-            res = [(p, m) for p, m in res if m] if product is None else [(product, 1)]
-            factors.append([(cofactor, 1), *res])
+        products = []
+        for (unit, cof, res), quotient in zip(sides, divided):
+            scale = unit.numerator if q == 1 else int(unit * q)
+            cofactor = kernel.poly_form_product(self.n, cof.items(), scale)
+            res = [(p, m) for p, m in res if m] if quotient is None else [(quotient, 1)]
+            products.append([(cofactor, 1), *res])
         for r, e in divisor.fac.items():
             shared[r] = shared.get(r, 0) - e
         unit = divisor.unit if q == 1 else divisor.unit * q
         free = _power_product(common, None)
-        if sden != one:
-            quotient = kernel.poly_sum_div(factors, sden)
-            if quotient is not None:
-                return self.build(1 / unit, shared, quotient, one, free)
-        snum = None
-        for (cofactor, _), *res in factors:
-            product = _power_product(res, one)
-            term = cofactor if product is one else kernel.poly_mul(cofactor, product)
-            snum = term if snum is None else kernel.poly_add(snum, term)
-        return self.build(1 / unit, shared, snum, sden, free)
+        quotient = kernel.poly_sum_div(products, None if sden == one else sden)
+        if quotient is None:  # D does not divide the sum
+            return self.build(1 / unit, shared, kernel.poly_sum_div(products), sden, free)
+        return self.build(1 / unit, shared, quotient, one, free)
 
     def product_over(self, pairs) -> "RootRational":
         """prod(value ^ exp) over (value, exp) pairs with int exponents.
@@ -728,6 +684,10 @@ class RootRational:
         return self.ctx.product_over(((other, 1), (self, -1)))
 
     def __pow__(self, k: int):
+        # Only int exponents keep the value exact: a float or a fractional
+        # exponent raises TypeError.
+        if not isinstance(k, int):
+            return NotImplemented
         return self.ctx.product_over(((self, k),))
 
     def __neg__(self):

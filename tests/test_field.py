@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -226,13 +227,7 @@ KRON_MUL_DEGREES = {3: (7, 50), 4: (4, 17), 5: (3, 11), 6: (3, 8)}
 
 
 def on_kron_path(a, b):
-    small, large = sorted((a, b), key=len)
-    return (
-        len(small) >= kernel._MUL_MIN_TERMS
-        and len(small) * len(large) >= kernel._MUL_MIN_PAIRS
-        and kernel._degree(a) is not None
-        and kernel._degree(b) is not None
-    )
+    return kernel._gate([[(a, 1), (b, 1)]], None) is not None
 
 
 @given(
@@ -247,8 +242,8 @@ def test_kronecker_mul_matches_packed(n, mode, seed):
     a = dense(rnd, n, da, 0.7, KRON_COEFFS[mode])
     b = dense(rnd, n, db, 0.55, KRON_COEFFS[mode])
     assume(on_kron_path(a, b))
-    with mock.patch.object(kernel, "_kron_mul", wraps=kernel._kron_mul) as spy:
-        got = kernel.poly_mul(a, b)
+    with mock.patch.object(kernel, "_kron", wraps=kernel._kron) as spy:
+        got = kernel.poly_sum_div([[(a, 1), (b, 1)]])
     assert spy.called
     assert got == kernel._packed_mul(a, b)
 
@@ -279,7 +274,9 @@ def test_kronecker_mul_at_slot_width_edges(n, k, signs, seed):
         sum(map(abs, a.values())) * max(map(abs, b.values())),
     )
     assert bound.bit_length() == 8 * k
-    got = kernel.poly_mul(a, b)
+    with mock.patch.object(kernel, "_kron", wraps=kernel._kron) as spy:
+        got = kernel.poly_sum_div([[(a, 1), (b, 1)]])
+    assert spy.called
     assert abs(got[tuple(x + y for x, y in zip(ea, eb))]) >= 1 << (8 * k - 1)
     assert got == kernel._packed_mul(a, b)
 
@@ -302,15 +299,16 @@ def test_kronecker_div_exact_matches_packed(n, mode, seed):
     g = dense(rnd, n, dg, 0.6, KRON_COEFFS[mode])
     g[min(g)] = 1  # primitive
     p = kernel._packed_mul(q, g)
-    assume(len(p) >= kernel._DIV_MIN_TERMS and kernel._degree(p) is not None)
+    assume(len(p) >= kernel._DIV_MIN_TERMS and kernel._gate([[(p, 1)]], g) is not None)
     m = {min(p): 1}
-    with mock.patch.object(kernel, "_kron_div_exact", wraps=kernel._kron_div_exact) as spy:
-        assert kernel.poly_div_exact(p, g) == q
+    with mock.patch.object(kernel, "_kron", wraps=kernel._kron) as spy:
+        assert kernel.poly_sum_div([[(p, 1)]], g) == q
         # q*g + m for a monomial m of the same degree stays on the
         # big-integer path; it is not divisible (m = (q' - q)*g would need
         # g to be a monomial).
-        assert kernel.poly_div_exact(kernel.poly_add(p, m), g) is None
+        assert kernel.poly_sum_div([[(kernel.poly_add(p, m), 1)]], g) is None
         assert spy.call_count == 2
+    assert kernel.poly_div_exact(p, g) == q
     assert kernel._packed_div_exact(kernel.poly_add(p, m), g) is None
     # Adding 1 at p's leading monomial changes only p's leading group by a
     # power of two.  When g's leading group has two or more terms, its
@@ -319,15 +317,15 @@ def test_kronecker_div_exact_matches_packed(n, mode, seed):
     top = kernel.poly_add(p, {max(p): 1})
     assert kernel.poly_div_exact(top, g) is None
     with mock.patch.object(kernel, "divmod", create=True, wraps=divmod) as steps:
-        assert kernel._kron_div_exact(top, g, dq) is None
+        assert kernel._kron([[(top, 1)]], g, dq) is None
     lead_head = max(e[:n - 3] for e in g)
     if sum(e[:n - 3] == lead_head for e in g) >= 2:
         assert steps.call_count == 1
     # A term of another degree makes the dividend inhomogeneous, which
     # the packed path divides (and refuses).
     inhomogeneous = kernel.poly_add(p, {(0,) * n: 1})
-    assert kernel._degree(inhomogeneous) is None
-    assert kernel.poly_div_exact(inhomogeneous, g) is None
+    assert kernel._gate([[(inhomogeneous, 1)]], g) is None
+    assert kernel.poly_sum_div([[(inhomogeneous, 1)]], g) is None
 
 
 def telescoping_division(K, r):
@@ -335,8 +333,8 @@ def telescoping_division(K, r):
     +1 or -1 and q's up to K: q = Q(x, z) * R(w, y), where Q's
     coefficients are the partial sums 1, 2, .., K, .., 2, 1 of K ones
     followed by K minus ones, and R = sum w^i y^(r-i).  Far from dense,
-    so poly_div_exact divides it on the packed path; the test below calls
-    the big-integer division directly."""
+    so poly_sum_div divides it on the packed path; the tests below call
+    the big-integer division, _kron, directly."""
     Q = {(2 * K - 2 - i, i): min(i + 1, 2 * K - 1 - i) for i in range(2 * K - 1)}
     R = [(i, r - i) for i in range(r + 1)]
     q = {(w, x, y, z): c for (x, z), c in Q.items() for w, y in R}
@@ -345,13 +343,14 @@ def telescoping_division(K, r):
 
 
 def kronecker_packed_calls(K):
-    """Divide telescoping_division(K, 4) with _kron_div_exact, spying on
+    """Divide telescoping_division(K, 4) with _kron, spying on
     _packed_div_exact; its first call divides the one-byte encodings."""
     p, g, q = telescoping_division(K, 4)
     assert set(p.values()) == {1, -1}
+    assert kernel._gate([[(p, 1)]], g) is None
     packed = kernel._packed_div_exact
     with mock.patch.object(kernel, "_packed_div_exact", wraps=packed) as spy:
-        assert kernel._kron_div_exact(p, g, sum(next(iter(q)))) == q
+        assert kernel._kron([[(p, 1)]], g, sum(next(iter(q)))) == q
     stride = max(e[2] for e in p) + 1
     encoded = (kernel._groups(p, 1, stride), kernel._groups(g, 1, stride))
     assert spy.call_args_list[0].args == encoded
@@ -378,15 +377,35 @@ def test_kronecker_div_exact_hands_over_to_packed_path():
 
 def test_sparse_operands_stay_on_the_packed_path():
     # Homogeneous int operands far from dense in their degree would
-    # encode to mostly empty slots (here 2^40 bytes for one group).
+    # encode to mostly empty slots (here 2^40 bytes for one group).  They
+    # pass the size thresholds, and the gate refuses them on density.
     big = 2**40
     a = {(0, i, big - i): 1 + i for i in range(40)}
     b = {(i, big - i, 0): -1 - i for i in range(300)}
+    assert len(a) >= kernel._MUL_MIN_TERMS and len(a) * len(b) >= kernel._MUL_MIN_PAIRS
     with mock.patch.object(kernel, "_encode", wraps=kernel._encode) as spy:
-        product = kernel.poly_mul(a, b)
+        product = kernel.poly_sum_div([[(a, 1), (b, 1)]])
         assert product == tuple_product(a, b)
-        assert kernel.poly_div_exact(product, b) == a
+        assert len(product) >= kernel._DIV_MIN_TERMS
+        assert kernel.poly_sum_div([[(product, 1)]], b) == a
     assert not spy.called
+
+
+def test_plain_loops_never_encode():
+    # poly_mul and poly_div_exact are the packed loops alone, even on
+    # operands that poly_sum_div would encode.
+    rnd = random.Random(5)
+    a = dense(rnd, 4, 4, 0.7, KRON_COEFFS["small"])
+    b = dense(rnd, 4, 17, 0.55, KRON_COEFFS["small"])
+    b[min(b)] = 1  # primitive
+    assert on_kron_path(a, b)
+    with mock.patch.object(kernel, "_groups", wraps=kernel._groups) as spy:
+        p = kernel.poly_mul(a, b)
+        assert kernel._gate([[(p, 1)]], b) is not None
+        assert kernel.poly_div_exact(p, b) == a
+        assert kernel.poly_div_exact(kernel.poly_add(p, {min(p): 1}), b) is None
+    assert not spy.called
+    assert p == tuple_product(a, b)
 
 
 def fold_sum(products):
@@ -409,6 +428,7 @@ def fold_sum(products):
     divisible=st.booleans(),
     seed=st.integers(0, 2**32),
 )
+@example(n=3, shape=[[(0, 1)]], mode="negative", divisible=False, seed=77560)
 @settings(max_examples=40, deadline=None)
 def test_encoded_sum_division_matches_folded_division(n, shape, mode, divisible, seed):
     # One or two products of one to three dense homogeneous factors (each
@@ -422,8 +442,8 @@ def test_encoded_sum_division_matches_folded_division(n, shape, mode, divisible,
     rnd = random.Random(seed)
     coeff = KRON_COEFFS[mode]
     g = dense(rnd, n, rnd.randint(1, 2), 0.7, coeff)
-    g[min(g)] = 1  # primitive
     assume(len(g) >= 2)
+    g[min(g)] = 1  # primitive
     degree = max(sum(d * k for d, k in factors) for factors in shape)
     products = []
     for factors in shape:
@@ -435,8 +455,8 @@ def test_encoded_sum_division_matches_folded_division(n, shape, mode, divisible,
     want = kernel.poly_div_exact(fold_sum(products), g)
     assert (want is not None) == divisible
     assert kernel._kron(products, g, degree) == want
-    # poly_sum_div either declines, for a sum this small, or agrees.
-    assert kernel.poly_sum_div(products, g) in (None, want)
+    # poly_sum_div folds a sum this small on the packed path, or encodes it.
+    assert kernel.poly_sum_div(products, g) == want
 
 
 def test_encoded_sum_division_hands_over_to_packed_path():
@@ -1044,8 +1064,10 @@ def test_folds_in_any_order_give_identical_parts(kind, picks, orders):
 
 def multiplied_out(ctx, value):
     """(numerator, denominator) term dicts of a value, nothing factored."""
-    top = ctx._expand(value.fac.items(), value.unit.numerator)
-    bottom = ctx._expand(((r, -e) for r, e in value.fac.items()), value.unit.denominator)
+    top = kernel.poly_form_product(ctx.n, value.fac.items(), value.unit.numerator)
+    bottom = kernel.poly_form_product(
+        ctx.n, ((r, -e) for r, e in value.fac.items()), value.unit.denominator
+    )
     return kernel.poly_mul(top, value.num), kernel.poly_mul(bottom, value.den)
 
 
@@ -1134,8 +1156,8 @@ def test_e6_exchange_steps_encode_before_they_decode(monkeypatch):
     # no polynomial reaches _groups once _ungroup has decoded one, so
     # nothing decoded in the step, nor anything made from it, is encoded
     # again: the large steps encode their factors, divide, and decode the
-    # quotient alone.
-    encoded, decoded = [], []
+    # quotient alone.  The encoding is entered only from poly_sum_div.
+    encoded, decoded, entries = [], [], []
 
     def recorded_exchange(self, *args):
         encoded.append(0)
@@ -1151,17 +1173,14 @@ def test_e6_exchange_steps_encode_before_they_decode(monkeypatch):
         decoded[-1] += 1
         return ungroup(*args)
 
-    def recorded_sum_div(products, g):
-        out = sum_div(products, g)
-        if out is not None:
-            quotients.append(out)
-        return out
+    def recorded_kron(products, g, degree):
+        entries.append(sys._getframe(1).f_code)
+        return kron(products, g, degree)
 
-    quotients = []
     exchange, groups, ungroup = RootContext.exchange, kernel._groups, kernel._ungroup
-    sum_div = kernel.poly_sum_div
+    kron = kernel._kron
     monkeypatch.setattr(RootContext, "exchange", recorded_exchange)
-    monkeypatch.setattr(kernel, "poly_sum_div", recorded_sum_div)
+    monkeypatch.setattr(kernel, "_kron", recorded_kron)
     monkeypatch.setattr(kernel, "_groups", recorded_groups)
     monkeypatch.setattr(kernel, "_ungroup", recorded_ungroup)
     frame = build_frame("E", 6)
@@ -1171,10 +1190,12 @@ def test_e6_exchange_steps_encode_before_they_decode(monkeypatch):
     assert len(labels) == 25
     for i, p in sorted(labels, key=lambda ip: (-ip[1], ip[0])):
         calc.kr_value(i, p, 1)
-    # Steps that decode decode once: the quotient.  Five steps divide
-    # their sums of products on the encoding.
+    # Steps that decode decode once: the quotient.  Nine steps divide
+    # their sums of products on the encoding, each entered from
+    # poly_sum_div.
     assert set(decoded) == {0, 1}
-    assert len(quotients) == 5
+    assert len(entries) == 9
+    assert set(entries) == {kernel.poly_sum_div.__code__}
 
 
 # -- exchange steps ----------------------------------------------------------
@@ -1481,6 +1502,18 @@ def test_pow_matches_repeated_multiplication(ctx):
             assert (got.unit, got.fac, got.num, got.den) == (
                 want.unit, want.fac, want.num, want.den
             )
+
+
+def test_pow_takes_only_int_exponents(ctx):
+    v = ctx.from_fraction(
+        MultiPoly.linear_form((1, 2, 1)), MultiPoly.linear_form((2, 1, 0))
+    ) * ctx.from_root_factors([((0, 1, 0), -1)], unit=Fraction(-2, 3))
+    assert v ** 2 == v * v
+    # A float or fractional exponent would put floats into the unit and
+    # the root exponents; it raises instead.
+    for k in (2.0, Fraction(1, 2), 0.5):
+        with pytest.raises(TypeError):
+            v ** k
 
 
 def test_zero_and_pole_handling(ctx):
