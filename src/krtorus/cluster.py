@@ -174,9 +174,11 @@ def mutate(seed: Seed, v: int) -> Seed:
     old = seed.values[v]
     if old.is_zero():
         raise InvalidInputError(f"cannot mutate at a zero value (vertex {v})")
-    new_value = seed.calc.ctx.exchange(
-        [(seed.values[a], m) for a, m in quiver.arrows_in(v)],
-        [(seed.values[b], m) for b, m in quiver.arrows_out(v)],
+    new_value = seed.calc.ctx.sum_of_products(
+        (
+            [(seed.values[a], m) for a, m in quiver.arrows_in(v)],
+            [(seed.values[b], m) for b, m in quiver.arrows_out(v)],
+        ),
         old,
     )
     if new_value.is_zero():

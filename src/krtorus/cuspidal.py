@@ -76,14 +76,15 @@ def weight_sum_size(frame: ARFrame, words):
 
     A word's value keeps its root prefix forms factored and multiplies its
     other prefix forms (made primitive) into one residual denominator.
-    ``sum_over`` keeps each root form factored in the common denominator,
-    to its largest multiplicity among the words, and expands for each word
-    its cofactor (the root forms it lacks up to that multiplicity) times
-    the distinct residual denominators other than its own; a root form
-    that every word has to the same multiplicity is never expanded.  So D
-    is the larger of that numerator degree E and the degree R of the
-    product of distinct residual denominators.  A single word expands only
-    its own residual (E = 0).  Both are homogeneous in the letters used."""
+    ``sum_of_products`` keeps each root form factored in the common
+    denominator, to its largest multiplicity among the words, and expands
+    for each word its cofactor (the root forms it lacks up to that
+    multiplicity) times the distinct residual denominators other than its
+    own; a root form that every word has to the same multiplicity is never
+    expanded.  So D is the larger of that numerator degree E and the
+    degree R of the product of distinct residual denominators.  A single
+    word expands only its own residual (E = 0).  Both are homogeneous in
+    the letters used."""
     n = frame.datum.rank
     distinct = {}
     for word in words:

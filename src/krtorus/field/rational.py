@@ -16,26 +16,25 @@ divide, and costs one Horner pass, while a zero is only a hint, which
 the exact division ``kernel.poly_div_linear`` certifies.  A residual of
 degree 1 is not screened: primitive with a positive leading
 coefficient, it is divisible by a root form only when it is that root,
-which one lookup in the root set decides.  An exchange step
-(prod A + prod B) / D, of the T-system or of a cluster mutation, is one
-call of ``RootContext.exchange`` on the factor lists of A and B: one pass
-per side sums root exponents and collects residual factors, the sides
-share their least root exponents and the residuals both hold, and only
-the cofactors are expanded, by ``kernel.poly_form_product``.  D's
-residual cancels against a shared factor, or against a factor of one
-side after dividing the other side's residual product.  The two sides'
-factor lists, cofactor and residual powers, go to
-``kernel.poly_sum_div``, which forms their sum and divides it by any
-other D: on big-integer encodings for a large step, on packed monomials
-otherwise.  ``build`` screens the quotient alone and multiplies the
-shared residuals, which hold no root form, in last.  Other sums are
-normalized once by ``RootContext.sum_over``, whose summands reach the
-same ``kernel.poly_sum_div`` as factor lists; products, quotients and
-powers are formed in one pass by ``RootContext.product_over``, where
-the residuals of values meet.  No general multivariate gcd is ever
-needed, and equality is decided by subtraction.  How monomials are
-packed is the kernel's business alone: this module calls only its
-public functions.
+which one lookup in the root set decides.  Every sum is a sum of
+products, formed by ``RootContext.sum_of_products``: an exchange step
+(prod A + prod B) / D of the T-system or of a cluster mutation, a sum of
+values (``+``, ``sum_over``), a weight sum.  One pass per product
+(``_collect``) multiplies the units, sums the root exponents and collects
+the residual factors with signed multiplicities; the products share the
+least exponent of each root and of each residual, and only the
+cofactors are expanded, by ``kernel.poly_form_product``.  D's residual
+cancels against a shared factor, or against a factor of one product
+after dividing every other product's residual product.  The factor
+lists, cofactor and residual powers, go to ``kernel.poly_sum_div``, which
+forms their sum and divides it by any other D: on big-integer encodings
+for a large step, on packed monomials otherwise.  ``build`` screens the
+quotient alone and multiplies the shared residuals, which hold no root
+form, in last.  Products, quotients and powers are formed in one pass by
+``RootContext.product_over``, where the residuals of values meet and
+cancel.  No general multivariate gcd is ever needed, and equality is
+decided by subtraction.  How monomials are packed is the kernel's
+business alone: this module calls only its public functions.
 """
 
 from __future__ import annotations
@@ -79,6 +78,48 @@ def _power_product(pairs, one):
     """Product of p ^ m over the [p, m, ...] entries with m > 0; ``one`` if none."""
     powers = [kernel.poly_pow(p, m) for p, m, *_ in pairs if m]
     return reduce(kernel.poly_mul, powers) if powers else one
+
+
+def _index(parts, part):
+    """Index of ``part`` in the list ``parts``, compared by equality; a new
+    part is appended."""
+    for k, p in enumerate(parts):
+        if p == part:
+            return k
+    parts.append(part)
+    return len(parts) - 1
+
+
+def _least(exps):
+    """(least, excess) over a list of {key: exponent} dicts: the least
+    exponent of each key, a missing key counting 0, and each dict's excess
+    over it, every entry >= 0.
+
+    One pass per dict over its own keys, and one over the keys it lacks; a
+    dict that lowers the running least raises the excess of every earlier
+    dict by the difference, added to what that dict already holds.
+    """
+    least, excess = dict(exps[0]), [{}]
+    for exp in exps[1:]:
+        own = {}
+        for r, e in exp.items():
+            s = least.get(r, 0)
+            if e > s:
+                own[r] = e - s
+            elif e < s:
+                least[r] = e
+                for earlier in excess:
+                    earlier[r] = earlier.get(r, 0) + s - e
+        for r in least.keys() - exp.keys():
+            s = least[r]
+            if s > 0:
+                least[r] = 0
+                for earlier in excess:
+                    earlier[r] = earlier.get(r, 0) + s
+            elif s < 0:
+                own[r] = -s
+        excess.append(own)
+    return least, excess
 
 
 def _vanishing_order(coeffs, s):
@@ -221,12 +262,20 @@ class RootContext:
         roots = [r for r in self.roots if not self._mask[r] & ~tmask]
         pivots = {self._pivot[r] for r in roots}
         slices = {j: {} for j in pivots}
-        point = self._point
+        # One row of powers per coordinate of the point, up to the largest
+        # exponent in the terms.
+        top = max(map(max, terms))
+        table = []
+        for x in self._point:
+            row = [1]
+            for _ in range(top):
+                row.append(row[-1] * x % _P)
+            table.append(row)
         for e, c in terms.items():
             w = c
-            for x, d in zip(point, e):
+            for row, d in zip(table, e):
                 if d:
-                    w = w * pow(x, d, _P) % _P
+                    w = w * row[d] % _P
             for j in pivots:
                 sl = slices[j]
                 d = e[j]
@@ -304,8 +353,8 @@ class RootContext:
         extracted from ``num`` alone and ``free`` is multiplied in after:
         by Gauss's lemma and unique factorization this is the residual that
         extraction from ``num * free`` leaves, part for part.  A residual
-        denominator of 1, as every exchange step has, is neither made
-        primitive nor cancelled nor screened.
+        denominator of 1, as every sum of engine values has, is neither
+        made primitive nor cancelled nor screened.
         """
         if not num:
             return self.zero()
@@ -334,189 +383,144 @@ class RootContext:
         return RootRational(self, unit, fac, num, den)
 
     def sum_over(self, values, divisor=None) -> "RootRational":
-        """(sum of ``values``) / ``divisor``, normalized by one ``build``.
+        """(sum of ``values``) / ``divisor``: one product per value."""
+        return self.sum_of_products([((v, 1),) for v in values], divisor)
 
-        The summands go over one common numerator and denominator (shared
-        root factors stay factored, the rest expand into cofactors, the
-        units share one denominator, and each distinct denominator residual
-        is multiplied in once) and the divisor's residuals multiply in
-        crosswise.  Each summand reaches ``kernel.poly_sum_div`` as its
-        factor list: its cofactor, its residual numerator and the other
-        summands' denominator residuals.  Exchange steps, whose summands
-        are products, go to ``exchange`` instead.
+    def _collect(self, pairs):
+        """(unit, root exponents, residuals) of prod(value ^ exp) over the
+        (value, exp) ``pairs``, or None when a value is zero and exp > 0.
+
+        One pass multiplies the units, sums the root exponents and collects
+        each residual other than 1 as [residual, signed multiplicity, k]:
+        a numerator counts exp, a denominator -exp, and k is the index of
+        the value it came from, None once residuals of two values merged.
+        The exponents may be the dict of the first value; callers copy
+        before they change it.
         """
-        inv = self.one() if divisor is None else divisor.inverse()
-        values = [v for v in values if not v.is_zero()]
-        if not values:
-            return self.zero()
-        if divisor is None and len(values) == 1:
-            return values[0]
         one = self._one
-        # Least root exponent over the values, a missing root counting 0.
-        shared = dict(values[0].fac)
-        for v in values[1:]:
-            fac = v.fac
-            for r, s in shared.items():
-                e = fac.get(r, 0)
-                if e < s:
-                    shared[r] = e
-            for r, e in fac.items():
-                if e < 0 and r not in shared:
-                    shared[r] = e
-        lows = [(r, -s) for r, s in shared.items() if s < 0]
-        q = lcm(*(v.unit.denominator for v in values))
-        dens = []
-        for v in values:
-            if v.den != one and v.den not in dens:
-                dens.append(v.den)
-        products = []
-        for v in values:
-            # Cofactor exponents are >= 0 by construction, so they expand.
-            fac = v.fac
-            exps = [(r, d) for r, e in fac.items() if (d := e - shared.get(r, 0))]
-            exps += [low for low in lows if low[0] not in fac]
-            scale = v.unit.numerator if q == 1 else int(v.unit * q)
-            cofactor = kernel.poly_form_product(self.n, exps, scale)
-            products.append([(cofactor, 1), (v.num, 1), *((d, 1) for d in dens if d != v.den)])
-        snum = kernel.poly_sum_div(products)
-        sden = inv.den
-        for d in dens:
-            sden = kernel.poly_mul(sden, d)
-        for r, e in inv.fac.items():
-            shared[r] = shared.get(r, 0) + e
-        if inv.num != one:
-            snum = kernel.poly_mul(snum, inv.num)
-        return self.build(inv.unit if q == 1 else inv.unit / q, shared, snum, sden)
-
-    def exchange(self, left, right, divisor) -> "RootRational":
-        """(prod ``left`` + prod ``right``) / ``divisor``, normalized by one ``build``.
-
-        ``left`` and ``right`` are lists of (value, exp >= 1) pairs, and
-        every value, the divisor too, has residual denominator 1, as engine
-        values do.  One pass per side multiplies the units, sums the root
-        exponents and collects the residuals with their multiplicities; a
-        side holding a zero value contributes 0.  The sides share the least
-        exponent of each root (a missing root counting 0) and each residual
-        that both hold; only the cofactors, unit times root forms, are
-        expanded.  The divisor's residual D is cancelled where it stands:
-        against a shared residual, or against a residual of one side, when
-        D then exactly divides the other side's residual product, as it
-        does when the sum is divisible by D (D holds no root form).  Each
-        side goes to ``kernel.poly_sum_div`` as its factor list (the
-        cofactor expansion and the residuals with their multiplicities),
-        which forms the sum and divides it by any other D, on big-integer
-        encodings for a large step and on packed monomials otherwise;
-        ``build`` receives the quotient with residual denominator 1.  Only
-        a sum that D does not divide, which no engine step makes, is formed
-        again and goes to ``build`` over D.  The shared residuals hold no
-        root form, so ``build`` takes their product as its root-free
-        factor.
-        """
-        if divisor.is_zero():
-            raise ZeroDivisionError("exchange with the zero function as divisor")
-        one = self._one
-        if divisor.den != one:
-            raise ValueError("exchange needs a divisor with residual denominator 1")
-        sides = []
-        for pairs in (left, right):
-            unit, fac, first, residuals = 1, None, None, []
-            for value, exp in pairs:
-                if value.den != one:
-                    raise ValueError("exchange needs values with residual denominator 1")
-                if not value.unit:
-                    break
-                if value.unit != 1:
-                    unit *= value.unit**exp
-                if fac is None and exp == 1:
-                    fac, first = value.fac, value.fac
-                else:
-                    if fac is None or fac is first:
-                        fac = {} if fac is None else dict(fac)
-                    for r, e in value.fac.items():
-                        fac[r] = fac.get(r, 0) + e * exp
-                if value.num != one:
+        unit, fac, first, residuals = 1, None, None, []
+        for k, (value, exp) in enumerate(pairs):
+            if not value.unit:
+                if exp > 0:
+                    return None
+                continue
+            if value.unit != 1:
+                unit *= value.unit**exp
+            if fac is None and exp == 1:
+                fac = first = value.fac
+            else:
+                if fac is None or fac is first:
+                    fac = {} if fac is None else dict(fac)
+                for r, e in value.fac.items():
+                    fac[r] = fac.get(r, 0) + e * exp
+            for part, e in ((value.num, exp), (value.den, -exp)):
+                if part != one:
                     for entry in residuals:
-                        if entry[0] == value.num:
-                            entry[1] += exp
+                        if entry[0] == part:
+                            entry[1] += e
+                            entry[2] = None
                             break
                     else:
-                        residuals.append([value.num, exp])
-            else:
-                sides.append((unit, {} if fac is None else fac, residuals))
-        if not sides:
-            return self.zero()
-        if len(sides) == 1:
-            unit, shared, common = sides[0]
-            sides = [(unit, {}, [])]
-            shared = {r: e for r, e in shared.items() if e}
-        else:
-            (_, fl, rl), (_, fr, rr) = sides
-            cl, cr, shared = {}, {}, {}
-            for r, e in fl.items():
-                m = fr.get(r, 0)
-                if e < m:
-                    cr[r] = m - e
-                elif m < e:
-                    cl[r], e = e - m, m
+                        residuals.append([part, e, k])
+        return unit, {} if fac is None else fac, residuals
+
+    def sum_of_products(self, products, divisor=None) -> "RootRational":
+        """(sum over ``products`` of prod(value ^ exp)) / ``divisor``,
+        normalized by one ``build``.
+
+        Each product is a sequence of (value, exp >= 1) pairs, gathered by
+        ``_collect``; a product holding a zero value is 0.  The products
+        share the least exponent of each root and of each residual, a
+        missing one counting 0 (``_least``), and only each product's excess
+        is multiplied out: its root forms, times its unit over the common
+        unit denominator, into one cofactor (``kernel.poly_form_product``),
+        its residuals kept as factors.  A shared residual with a positive
+        exponent holds no root form, so ``build`` takes it into its
+        root-free factor; the negative ones form the common denominator,
+        each distinct residual once.  The divisor's residual D is cancelled
+        where it stands: against a shared residual, or against a residual
+        of one product when D exactly divides the residual product of every
+        other one, as it does for an exchange step whose sum D divides (D
+        holds no root form).  The factor lists go to ``kernel.poly_sum_div``,
+        which forms their sum and divides it by any other D, on big-integer
+        encodings for a large step and on packed monomials otherwise; only a
+        sum that D does not divide is formed again and goes to ``build``
+        over D.  The divisor's residual denominator joins the root-free
+        factor.  A lone (value, 1) over no divisor is the value itself.
+        """
+        if divisor is not None and divisor.is_zero():
+            raise ZeroDivisionError("division by the zero function")
+        one = self._one
+        units, facs, residuals, parts = [], [], [], []
+        for pairs in products:
+            collected = self._collect(pairs)
+            if collected is None:
+                continue
+            live, (unit, fac, entries) = pairs, collected
+            own = {}
+            for part, e, _ in entries:
                 if e:
-                    shared[r] = e
-            for r, m in fr.items():
-                if r not in fl:
-                    if m > 0:
-                        cr[r] = m
-                    elif m < 0:
-                        cl[r], shared[r] = -m, m
-            common = []
-            for entry in rl:
-                for other in rr:
-                    if other[0] == entry[0]:
-                        m = min(entry[1], other[1])
-                        entry[1] -= m
-                        other[1] -= m
-                        common.append([entry[0], m])
-                        break
-            sides = [(sides[0][0], cl, rl), (sides[1][0], cr, rr)]
-        divided = [None] * len(sides)
-        sden = divisor.num
-        if sden != one:
-            hit = next((entry for entry in common if entry[0] == sden), None)
-            if hit is None and len(sides) == 2:
-                for k in (0, 1):
-                    entry = next((e for e in sides[k][2] if e[1] and e[0] == sden), None)
-                    if entry is not None:
-                        quotient = kernel.poly_div_exact(_power_product(sides[1 - k][2], one), sden)
-                        if quotient is not None:
-                            divided[1 - k], hit = quotient, entry
-                        break
-            if hit is not None:
-                hit[1] -= 1
+                    own[_index(parts, part)] = e
+            units.append(unit)
+            facs.append(fac)
+            residuals.append(own)
+        if not units:
+            return self.zero()
+        if divisor is None and len(units) == 1 and len(live) == 1 and live[0][1] == 1:
+            return live[0][0]
+        shared, cofactors = _least(facs)
+        common, excess = _least(residuals) if parts else ({}, residuals)
+        sden = one if divisor is None else divisor.num
+        k = _index(parts, sden)  # an index no product holds if none holds D
+        holder = next((own for own in excess if own.get(k, 0) > 0), None)
+        if common.get(k, 0) > 0:
+            common[k] -= 1
+            sden = one
+        elif holder is not None:
+            others = [own for own in excess if own is not holder]
+            quotients = []
+            for own in others:
+                residual = _power_product([(parts[j], m) for j, m in own.items()], one)
+                quotients.append(kernel.poly_div_exact(residual, sden))
+            if None not in quotients:
+                for own, quotient in zip(others, quotients):
+                    own.clear()
+                    own[_index(parts, quotient)] = 1
+                holder[k] -= 1
                 sden = one
-        q = lcm(*(unit.denominator for unit, _, _ in sides))
-        products = []
-        for (unit, cof, res), quotient in zip(sides, divided):
+        q = lcm(*(unit.denominator for unit in units))
+        lists = []
+        for unit, cof, own in zip(units, cofactors, excess):
             scale = unit.numerator if q == 1 else int(unit * q)
             cofactor = kernel.poly_form_product(self.n, cof.items(), scale)
-            res = [(p, m) for p, m in res if m] if quotient is None else [(quotient, 1)]
-            products.append([(cofactor, 1), *res])
-        for r, e in divisor.fac.items():
-            shared[r] = shared.get(r, 0) - e
-        unit = divisor.unit if q == 1 else divisor.unit * q
-        free = _power_product(common, None)
-        quotient = kernel.poly_sum_div(products, None if sden == one else sden)
+            lists.append([(cofactor, 1), *((parts[j], m) for j, m in own.items() if m)])
+        tops = [(parts[j], m) for j, m in common.items() if m > 0]
+        if divisor is None:
+            inv = Fraction(1, q)
+        else:
+            inv = 1 / (divisor.unit if q == 1 else divisor.unit * q)
+            for r, e in divisor.fac.items():
+                shared[r] = shared.get(r, 0) - e
+            if divisor.den != one:
+                tops.append((divisor.den, 1))
+        free = _power_product(tops, None)
+        den = _power_product([(parts[j], -m) for j, m in common.items() if m < 0], one)
+        quotient = kernel.poly_sum_div(lists, None if sden == one else sden)
         if quotient is None:  # D does not divide the sum
-            return self.build(1 / unit, shared, kernel.poly_sum_div(products), sden, free)
-        return self.build(1 / unit, shared, quotient, one, free)
+            snum = kernel.poly_sum_div(lists)
+            return self.build(inv, shared, snum, kernel.poly_mul(den, sden), free)
+        return self.build(inv, shared, quotient, den, free)
 
     def product_over(self, pairs) -> "RootRational":
         """prod(value ^ exp) over (value, exp) pairs with int exponents.
 
         The one place where residuals of values meet: ``*``, ``/`` and
-        ``**`` come here too.  The root exponents are summed and the units
-        multiplied once.  Each residual other than 1 is met once with its
-        net exponent (equal residuals of different values cancel here) and
-        goes to the numerator or the denominator by its sign.  Before the
-        sides are multiplied out, a residual that exactly divides one on
-        the other side cancels into it, so a product of values whose
+        ``**`` come here too.  ``_collect`` sums the root exponents,
+        multiplies the units and meets each residual other than 1 once with
+        its net exponent (equal residuals of different values cancel
+        there); it goes to the numerator or the denominator by its sign.
+        Before the sides are multiplied out, a residual that exactly divides
+        one on the other side cancels into it, so a product of values whose
         residuals are irreducible, taken one factor at a time, comes out
         reduced whatever the order; the whole sides are cancelled once at
         the end.  When no residual turns up on both sides, as for values
@@ -527,29 +531,12 @@ class RootContext:
         pairs = tuple(pairs)
         if len(pairs) == 1 and pairs[0][1] == 1:
             return pairs[0][0]
-        unit, fac, residuals = Fraction(1), {}, []
-        zero = False
-        for k, (value, exp) in enumerate(pairs):
-            if value.is_zero():
-                if exp < 0:
-                    raise ZeroDivisionError("inverse of the zero function")
-                zero = zero or exp > 0
-                continue
-            if value.unit != 1:
-                unit *= value.unit**exp
-            for r, e in value.fac.items():
-                fac[r] = fac.get(r, 0) + e * exp
-            for part, e in ((value.num, exp), (value.den, -exp)):
-                if part != self._one:
-                    for entry in residuals:
-                        if entry[0] == part:
-                            entry[1] += e
-                            entry[2] = None
-                            break
-                    else:
-                        residuals.append([part, e, k])
-        if zero:
+        if any(exp < 0 and value.is_zero() for value, exp in pairs):
+            raise ZeroDivisionError("inverse of the zero function")
+        collected = self._collect(pairs)
+        if collected is None:
             return self.zero()
+        unit, fac, residuals = collected
         tops = [[part, e, k] for part, e, k in residuals if e > 0]
         bottoms = [[part, -e, k] for part, e, k in residuals if e < 0]
         # m copies of a residual B dividing m copies of A leave m copies of
@@ -572,7 +559,8 @@ class RootContext:
         num, den = _power_product(tops, self._one), _power_product(bottoms, self._one)
         if num is not self._one and den is not self._one:
             num, den = self._cancel_residuals(num, den)
-        return RootRational(self, unit, {r: e for r, e in fac.items() if e}, num, den)
+        fac = {r: e for r, e in fac.items() if e}
+        return RootRational(self, Fraction(unit), fac, num, den)
 
     def _cancel_residuals(self, num, den):
         """Collapse num/den when one residual exactly divides the other.

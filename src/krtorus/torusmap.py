@@ -168,8 +168,8 @@ class TorusMorphism:
                 grow, shrink, divisor = (memo.get(d, one) for d in deps[:3])
                 if divisor.is_zero():
                     raise ConsistencyError(f"zero divisor in T-system at {key}")
-                out = self.ctx.exchange(
-                    [(grow, 1), (shrink, 1)], [(memo[d], 1) for d in nbr_keys], divisor
+                out = self.ctx.sum_of_products(
+                    ([(grow, 1), (shrink, 1)], [(memo[d], 1) for d in nbr_keys]), divisor
                 )
             memo[key] = out
             stack.pop()

@@ -5,8 +5,12 @@ from the package: root systems are enumerated by closing the simple roots
 under all reflections, the coefficient table is recomputed by generic
 truncated power-series inversion of the deformed Cartan matrix, word
 positions are found by scanning an explicitly built piece of the infinite
-word, and torus values are products over the whole window.
+word, and torus values are products over the whole window.  The field
+oracles at the end take a ``RootContext`` and reach its ``build`` and the
+kernel's plain product and sum, never its sums of products.
 """
+
+from math import lcm
 
 
 def weyl_positive_roots(cartan):
@@ -329,7 +333,49 @@ def vanishing_order(coeffs, s, p):
     return order
 
 
+def sum_by_common_denominator(ctx, values, divisor=None):
+    """(sum of ``values``) / ``divisor``, normalized by one ``ctx.build``.
+
+    The summands go over one common numerator and denominator: each root
+    keeps its least exponent over the values (a missing root counting 0)
+    factored, the rest of each value expands into a cofactor, the units
+    share one denominator, and each distinct denominator residual is
+    multiplied in once.  The divisor's residuals multiply in crosswise.
+    The numerator is folded with the kernel's plain product and sum.
+    """
+    from krtorus.field import kernel
+
+    inv = ctx.one() if divisor is None else divisor.inverse()
+    values = [v for v in values if not v.is_zero()]
+    if not values:
+        return ctx.zero()
+    if divisor is None and len(values) == 1:
+        return values[0]
+    one = ctx.one().num
+    shared = {r: min(v.fac.get(r, 0) for v in values) for v in values for r in v.fac}
+    q = lcm(*(v.unit.denominator for v in values))
+    dens = []
+    for v in values:
+        if v.den != one and v.den not in dens:
+            dens.append(v.den)
+    snum = {}
+    for v in values:
+        exps = [(r, v.fac.get(r, 0) - s) for r, s in shared.items()]
+        term = kernel.poly_form_product(ctx.n, exps, int(v.unit * q))
+        for factor in [v.num, *(d for d in dens if d != v.den)]:
+            term = kernel.poly_mul(term, factor)
+        snum = kernel.poly_add(snum, term)
+    sden = inv.den
+    for d in dens:
+        sden = kernel.poly_mul(sden, d)
+    for r, e in inv.fac.items():
+        shared[r] = shared.get(r, 0) + e
+    return ctx.build(inv.unit / q, shared, kernel.poly_mul(snum, inv.num), sden)
+
+
 def exchange_by_composition(ctx, left, right, divisor):
-    """(prod left + prod right) / divisor as two products and one sum, each
-    normalized on its own: the exchange step before it was one primitive."""
-    return ctx.sum_over((ctx.product_over(left), ctx.product_over(right)), divisor)
+    """(prod left + prod right) / divisor as two products and one sum over
+    a common denominator, each normalized on its own."""
+    return sum_by_common_denominator(
+        ctx, (ctx.product_over(left), ctx.product_over(right)), divisor
+    )

@@ -2,9 +2,10 @@
 
 The expected output lives in ``cli_golden.json`` next to this file.  It
 covers every README example, a deep E6 KR label, an E6 mutation chain,
-weight data read from a file, and every ``verify`` suite on the rank-3
-sink-source frame, each in text and JSON.  Any change to the arithmetic
-that alters a rendered value shows up here as a byte difference.
+weight data read from a file (one sum keeping a residual denominator),
+and every ``verify`` suite on the rank-3 sink-source frame, each in text
+and JSON.  Any change to the arithmetic that alters a rendered value
+shows up here as a byte difference.
 
 Regenerate the expected output (only when a change of output is
 intended) with
@@ -14,6 +15,7 @@ intended) with
 
 import json
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -34,9 +36,15 @@ WEIGHTS = {
         {"word": [2, 3, 1], "dim": 1},
         {"word": [3, 2, 1], "dim": 3},
     ],
+    # Words over the prefix form a1 + 2*a2 + a3, which is no root: the sum
+    # keeps a residual denominator.
+    "a3mixed": [
+        {"word": list(w), "dim": 1 + (w[0] + w[1]) % 3}
+        for w in sorted(set(permutations([1, 2, 2, 3])))
+    ],
 }
 
-# name -> argv; "{a2}" / "{a3}" stand for a weight-data file.
+# name -> argv; "{a2}", "{a3}", "{a3mixed}" stand for a weight-data file.
 _BASE = {
     "readme-info": ["info", "--type", "D", "--rank", "4"],
     "readme-ctilde": ["ctilde", "--type", "A", "--rank", "3", "1", "1", "16"],
@@ -55,6 +63,9 @@ _BASE = {
     "e6-dtilde-kr": ["dtilde-kr", *E6, "3", "-8", "1"],
     "e6-mutate-chain": ["mutate", *E6, "--window", "72", "--quotient", "--seq", "9,3,5,11"],
     "a3-dbar-weights": ["dbar-weights", "--type", "A", "--rank", "3", "--file", "{a3}"],
+    "a3-dbar-weights-mixed": [
+        "dbar-weights", "--type", "A", "--rank", "3", "--file", "{a3mixed}",
+    ],
     **{f"ss-verify-{s}": ["verify", *SS, "--suite", s] for s in SUITES},
     "mono-verify-schurweyl": ["verify", "--type", "A", "--rank", "3", "--suite", "schurweyl"],
     "mono-verify-tsystem": ["verify", "--type", "A", "--rank", "3", "--suite", "tsystem"],

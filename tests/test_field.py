@@ -19,7 +19,7 @@ from krtorus.field.rational import RootContext
 from krtorus.suites import run_suite
 from krtorus.torusmap import TorusMorphism
 
-from oracles import exchange_by_composition, vanishing_order
+from oracles import exchange_by_composition, sum_by_common_denominator, vanishing_order
 
 
 @pytest.fixture(scope="module")
@@ -1125,16 +1125,16 @@ def test_tsystem_steps_divide_no_expanded_sum(monkeypatch):
     steps = []
     divided = []
 
-    def recorded_exchange(self, left, right, divisor):
+    def recorded_sum(self, products, divisor=None):
         sizes = []
-        for pairs in (left, right):
+        for pairs in products:
             product = self._one
             for value, e in pairs:
                 product = kernel.poly_mul(product, kernel.poly_pow(value.num, e))
             sizes.append(len(product))
         steps.append(max(sizes))
         try:
-            return exchange(self, left, right, divisor)
+            return sum_of_products(self, products, divisor)
         finally:
             steps.pop()
 
@@ -1143,8 +1143,8 @@ def test_tsystem_steps_divide_no_expanded_sum(monkeypatch):
             divided.append((len(p), steps[-1]))
         return div_exact(p, g)
 
-    exchange, div_exact = RootContext.exchange, kernel.poly_div_exact
-    monkeypatch.setattr(RootContext, "exchange", recorded_exchange)
+    sum_of_products, div_exact = RootContext.sum_of_products, kernel.poly_div_exact
+    monkeypatch.setattr(RootContext, "sum_of_products", recorded_sum)
     monkeypatch.setattr(kernel, "poly_div_exact", recorded_div_exact)
     assert run_suite("tsystem", build_frame("D", 6)).ok
     assert divided and all(size <= largest for size, largest in divided)
@@ -1159,10 +1159,10 @@ def test_e6_exchange_steps_encode_before_they_decode(monkeypatch):
     # quotient alone.  The encoding is entered only from poly_sum_div.
     encoded, decoded, entries = [], [], []
 
-    def recorded_exchange(self, *args):
+    def recorded_sum(self, *args):
         encoded.append(0)
         decoded.append(0)
-        return exchange(self, *args)
+        return sum_of_products(self, *args)
 
     def recorded_groups(terms, nb, stride):
         assert not decoded[-1], "a step encodes after it has decoded"
@@ -1177,9 +1177,9 @@ def test_e6_exchange_steps_encode_before_they_decode(monkeypatch):
         entries.append(sys._getframe(1).f_code)
         return kron(products, g, degree)
 
-    exchange, groups, ungroup = RootContext.exchange, kernel._groups, kernel._ungroup
+    sum_of_products, groups, ungroup = RootContext.sum_of_products, kernel._groups, kernel._ungroup
     kron = kernel._kron
-    monkeypatch.setattr(RootContext, "exchange", recorded_exchange)
+    monkeypatch.setattr(RootContext, "sum_of_products", recorded_sum)
     monkeypatch.setattr(kernel, "_kron", recorded_kron)
     monkeypatch.setattr(kernel, "_groups", recorded_groups)
     monkeypatch.setattr(kernel, "_ungroup", recorded_ungroup)
@@ -1237,15 +1237,16 @@ def test_exchange_matches_composition_on_mutation_walks(kind, quotient, picks):
 @pytest.mark.parametrize("kind", [("A", 3), ("D", 4), ("D", 5)])
 def test_exchange_matches_composition_on_tsystem_steps(kind, monkeypatch):
     steps = []
-    exchange = RootContext.exchange
+    sum_of_products = RootContext.sum_of_products
 
-    def checked(self, left, right, divisor):
-        got = exchange(self, left, right, divisor)
+    def checked(self, products, divisor=None):
+        got = sum_of_products(self, products, divisor)
+        left, right = products
         assert parts(got) == parts(exchange_by_composition(self, left, right, divisor))
         steps.append(got)
         return got
 
-    monkeypatch.setattr(RootContext, "exchange", checked)
+    monkeypatch.setattr(RootContext, "sum_of_products", checked)
     # Every label of the window and two levels below it, where type A
     # values carry residuals too.
     frame = build_frame(*kind)
@@ -1308,7 +1309,7 @@ def test_exchange_matches_composition_on_constructed_steps(kind, case, data):
         divisor = divisor * w1
     if data.draw(st.booleans()):
         left, right = right, left
-    got = ctx.exchange(left, right, divisor)
+    got = ctx.sum_of_products((left, right), divisor)
     assert parts(got) == parts(exchange_by_composition(ctx, left, right, divisor))
     assert got.den == ctx._one
 
@@ -1336,7 +1337,68 @@ def test_exchange_equals_composition_on_random_factor_lists(kind, data):
     left, right = side(), side()
     divisor = data.draw(st.sampled_from(pool)) if data.draw(st.booleans()) else value()
     assume(not divisor.is_zero())
-    assert ctx.exchange(left, right, divisor) == exchange_by_composition(ctx, left, right, divisor)
+    got = ctx.sum_of_products((left, right), divisor)
+    assert got == exchange_by_composition(ctx, left, right, divisor)
+
+
+@lru_cache(maxsize=None)
+def mixed_pools(kind):
+    """Engine values (zero among them), and quotients and inverses of
+    engine residuals, which carry residual denominators."""
+    ctx, values = engine_values(kind)
+    residual = [v for v in values if not v.is_factored()]
+    factored = [v for v in values if v.is_factored() and not v.is_zero()]
+    rng = random.Random(11)
+    over = [w.inverse() for w in residual[:4]]
+    for _ in range(8):
+        w1, w2 = rng.sample(residual, 2)
+        over.append(rng.choice(factored) * w1 / w2)
+    return ctx, values + over, residual, factored, over
+
+
+@given(
+    kind=st.sampled_from([("A", 3), ("D", 4)]),
+    divisor_kind=st.sampled_from(["none", "engine", "over", "shared"]),
+    count=st.integers(1, 4),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_sum_of_products_matches_common_denominator(kind, divisor_kind, count, data):
+    # Products of values with residual numerators and denominators, zeros
+    # among them; the divisor is an engine value, a value with a residual
+    # denominator, or a residual that every product holds.
+    ctx, pool, residual, factored, over = mixed_pools(kind)
+    picks = st.tuples(st.sampled_from(pool), st.integers(1, 3))
+    products = [
+        [data.draw(picks) for _ in range(data.draw(st.integers(0, 3)))] for _ in range(count)
+    ]
+    divisor = None
+    if divisor_kind == "engine":
+        divisor = data.draw(st.sampled_from(residual + factored))
+    elif divisor_kind == "over":
+        divisor = data.draw(st.sampled_from(over))
+    elif divisor_kind == "shared":
+        w = data.draw(st.sampled_from(residual))
+        for pairs in products:
+            pairs.append((w, data.draw(st.integers(1, 2))))
+        divisor = w * data.draw(st.sampled_from(factored))
+    got = ctx.sum_of_products(products, divisor)
+    want = sum_by_common_denominator(ctx, [ctx.product_over(p) for p in products], divisor)
+    # The parts agree up to one residual factor that the oracle leaves on
+    # both sides: it cancels the divisor's residual only when the whole
+    # denominator divides the sum, while sum_of_products cancels it against
+    # a residual that every product holds.
+    assert (got.unit, got.fac) == (want.unit, want.fac)
+    extra = kernel.poly_div_exact(want.num, got.num)
+    assert extra is not None and kernel.poly_div_exact(want.den, got.den) == extra
+    point = [2, 3, 5, 7][:ctx.n]  # no root form vanishes here
+    try:
+        expect = sum(fold(ctx, p).evaluate(point) for p in products)
+        if divisor is not None:
+            expect /= divisor.evaluate(point)
+    except ZeroDivisionError:
+        return
+    assert got.evaluate(point) == expect
 
 
 def test_engines_exchange_without_products_or_sums(monkeypatch):
