@@ -8,23 +8,31 @@ arithmetic below relies on it.  Callers reach these functions through the
 module (``kernel.poly_mul``) so that a tracer can wrap them in one place.
 
 There is one product loop, ``_packed_mul``, and one long-division loop,
-``_packed_div_exact`` (Monagan & Pearce, CASC 2007 and JSC 46, 2011).  On
-entry each exponent tuple becomes one int with one bit field per
-variable, variable 1 in the most significant field, so integer order is
-the lex order of the tuples (the order of ``max`` on tuples,
-``integral_primitive`` and ``poly_str``).  Each call sizes its fields from
-its inputs: enough bits for the largest exponent any intermediate term
-can reach, plus one guard bit on top.  There is no fixed limit and
-nothing overflows; only the result is unpacked.  A product of monomials
-is one int add.  A difference of monomials borrows into some guard bit
-exactly when one of its exponents is negative, which is the divisibility
-test of the exact division.  That division keeps the exponents of its
-pending remainder in a max-heap and pops the leading term instead of
-scanning for it; a term that cancels stays in the heap and is skipped
-when it comes up.  A product with a lone constant term only scales the
-other operand.  A product of linear forms, ``poly_form_product``, is
-built on packed monomials as well, one shift-and-add pass per form, so
-no caller needs to know how monomials are packed.
+``_packed_div_exact`` (Monagan & Pearce, CASC 2007 and JSC 46, 2011),
+and two loops for linear forms, ``poly_form_product`` and
+``poly_div_linear`` (below).  On entry each exponent tuple becomes one
+int with one bit field per variable, variable 1 in the most significant
+field, so integer order is the lex order of the tuples (the order of
+``max`` on tuples, ``integral_primitive`` and ``poly_str``).  Each call
+sizes its fields from its inputs: enough bits for the largest exponent
+any intermediate term can reach, plus one guard bit on top.  There is no
+fixed limit and nothing overflows; only the result is unpacked.  A
+product of monomials is one int add.  A difference of monomials borrows
+into some guard bit exactly when one of its exponents is negative, which
+is the divisibility test of the exact division.  That division keeps the
+exponents of its pending remainder in a max-heap and pops the leading
+term instead of scanning for it; a term that cancels stays in the heap
+and is skipped when it comes up.  A product with a lone constant term
+only scales the other operand.  A product of linear forms,
+``poly_form_product``, is built on packed monomials as well, one
+shift-and-add pass per form, so no caller needs to know how monomials
+are packed.  Division by one linear form, ``poly_div_linear``,
+eliminates a pivot variable degree by degree on the exponent tuples.  It
+stays beside ``_packed_div_exact`` because a linear divisor needs
+neither packing nor a heap: on the root-form divisions of one seed-1
+round of each benchmark workload (47, 145, 485 and 39 calls) it took
+0.49-0.89 of the time that ``_packed_div_exact`` took on the same
+inputs, with equal quotients (Python 3.11, 2-core x86-64 VM).
 
 Each division step is one integer ``divmod`` by the divisor's leading
 coefficient, and a nonzero remainder proves that the divisor does not
@@ -150,6 +158,28 @@ def poly_pow(a, e):
         if not e:
             return out
         a = poly_mul(a, a)
+
+
+def poly_eval(terms, point):
+    """Exact value of ``terms`` at a point of rationals, as a Fraction.
+
+    The point's denominators are cleared once, by their lcm d: each term
+    c * x^e is c * X^e / d^deg(e) with X = d * x integral, so the terms
+    scaled by d^(top - deg), top the largest degree, sum over ints (for
+    int c) and the sum is divided by d^top once.
+    """
+    point = [Fraction(x) for x in point]
+    d = lcm(*(x.denominator for x in point))
+    xs = [x.numerator * (d // x.denominator) for x in point]
+    top = max(map(sum, terms), default=0)
+    total = 0
+    for e, c in terms.items():
+        v = c if d == 1 else c * d ** (top - sum(e))
+        for x, k in zip(xs, e):
+            if k:
+                v *= x**k
+        total += v
+    return Fraction(total) / d**top
 
 
 def _packed_mul(a, b):

@@ -20,7 +20,6 @@ __all__ = [
     "check_exponents",
     "integral_primitive",
     "poly_str",
-    "support_mask",
 ]
 
 
@@ -156,30 +155,13 @@ class MultiPoly:
         """Exact evaluation at a point of rationals."""
         if len(point) != self.n:
             raise ValueError("point has wrong length")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = Fraction(c)
-            for x, k in zip(point, e):
-                if k:
-                    v *= Fraction(x) ** k
-            total += v
-        return total
+        return kernel.poly_eval(self.terms, point)
 
     def __repr__(self):
         return f"MultiPoly({poly_str(self.terms)})"
 
     def __str__(self):
         return poly_str(self.terms)
-
-
-def support_mask(terms) -> int:
-    """Bit k is set when variable k+1 occurs in some term."""
-    mask = 0
-    for e in terms:
-        for k, d in enumerate(e):
-            if d:
-                mask |= 1 << k
-    return mask
 
 
 def _mono_str(e, coeff):

@@ -5,30 +5,31 @@ forms are positive-root linear forms of a fixed root system, and num,
 den are primitive integer polynomials carrying whatever does not factor
 into root forms.  A linear form is classified once, on input: it is a
 positive root up to a scalar or it is not (engine values, root products
-by construction, skip this in ``RootContext.root_product``).  Other input
-is normalized once, by ``RootContext.build``: the residuals are
-cancelled where one divides the other, then positive-root forms are
-divided out (the forms are irreducible, so the extracted multiset is
-unique and the order of the two steps does not matter).  Which forms to
-try comes from one integer evaluation of the residual modulo a prime on
-each form's hyperplane: a nonzero value proves that the form does not
-divide, and costs one Horner pass, while a zero is only a hint, which
-the exact division ``kernel.poly_div_linear`` certifies.  A residual of
-degree 1 is not screened: primitive with a positive leading
-coefficient, it is divisible by a root form only when it is that root,
-which one lookup in the root set decides.  Every sum is a sum of
-products, formed by ``RootContext.sum_of_products``: an exchange step
-(prod A + prod B) / D of the T-system or of a cluster mutation, a sum of
-values (``+``, ``sum_over``), a weight sum.  One pass per product
-(``_collect``) multiplies the units, sums the root exponents and collects
-the residual factors with signed multiplicities; the products share the
-least exponent of each root and of each residual, and only the
-cofactors are expanded, by ``kernel.poly_form_product``.  D's residual
-cancels against a shared factor, or against a factor of one product
-after dividing every other product's residual product.  The factor
-lists, cofactor and residual powers, go to ``kernel.poly_sum_div``, which
-forms their sum and divides it by any other D: on big-integer encodings
-for a large step, on packed monomials otherwise.  ``build`` screens the
+by construction, skip this in ``RootContext.root_product``).  Other
+input is normalized once, by ``RootContext.build``: positive-root forms
+are divided out, then the residuals are cancelled where one divides the
+other (the forms are irreducible, so the extracted multiset is unique
+and one cancel after the extraction does what one before it would).
+Which forms to try comes from one integer evaluation of the residual
+modulo a prime on each form's hyperplane: a nonzero value proves that
+the form does not divide, and costs one Horner pass, while a zero is
+only a hint, which the exact division ``kernel.poly_div_linear``
+certifies.  A residual of degree 1 is not screened: primitive with a
+positive leading coefficient, it is divisible by a root form only when
+it is that root, which one lookup in the root set decides.  Every sum is
+a sum of products, formed by ``RootContext.sum_of_products``: an
+exchange step (prod A + prod B) / D of the T-system or of a cluster
+mutation, a sum of values (``+``, ``sum_over``), a weight sum.  One pass
+per product (``_collect``) multiplies the units, sums the root exponents
+and meets each residual factor once, indexing it into one list for all
+products and counting its signed multiplicity; the products share the
+least exponent of each root and of each residual, and only the cofactors
+are expanded, by ``kernel.poly_form_product``.  D's residual cancels
+against a shared factor, or against a factor of one product after
+dividing every other product's residual product.  The factor lists,
+cofactor and residual powers, go to ``kernel.poly_sum_div``, which forms
+their sum and divides it by any other D: on big-integer encodings for a
+large step, on packed monomials otherwise.  ``build`` screens the
 quotient alone and multiplies the shared residuals, which hold no root
 form, in last.  Products, quotients and powers are formed in one pass by
 ``RootContext.product_over``, where the residuals of values meet and
@@ -52,7 +53,6 @@ from .poly import (
     check_exponents,
     integral_primitive,
     poly_str,
-    support_mask,
 )
 
 __all__ = ["RootContext", "RootRational", "form_str"]
@@ -81,10 +81,10 @@ def _power_product(pairs, one):
 
 
 def _index(parts, part):
-    """Index of ``part`` in the list ``parts``, compared by equality; a new
-    part is appended."""
+    """Index of ``part`` in the list ``parts``, compared by identity, then
+    by equality; a new part is appended."""
     for k, p in enumerate(parts):
-        if p == part:
+        if p is part or p == part:
             return k
     parts.append(part)
     return len(parts) - 1
@@ -163,9 +163,6 @@ class RootContext:
         self.root_set = frozenset(self.roots)
         self._one = {(0,) * self.n: 1}
         self._pivot = {r: max(i for i, c in enumerate(r) if c) for r in self.roots}
-        self._mask = {
-            r: sum(1 << i for i, c in enumerate(r) if c) for r in self.roots
-        }
         # Screening point x, and for each root r with pivot j the value
         # s = t / x_j, where a_j = t puts x on the hyperplane r = 0.  Scaling
         # by x_j lets _screen group full monomial values by exponent.
@@ -247,21 +244,23 @@ class RootContext:
 
     # -- normalization --------------------------------------------------
 
-    def _screen(self, terms, tmask):
+    def _screen(self, terms):
         """(root, bound) for each positive root whose form may divide ``terms``.
 
         One pass over the terms evaluates each monomial at the screening
-        point mod p and groups the values by the exponent of each pivot
-        variable a_j: that is the slice of the residual along a_j, as a
-        polynomial in t = a_j / x_j.  A root r with pivot j can divide only
-        if that slice vanishes at s_r, where the line meets r = 0, and its
+        point mod p and groups the values by the exponent of each variable
+        a_j: that is the slice of the residual along a_j, as a polynomial in
+        t = a_j / x_j.  Every variable is the pivot of its simple root, so
+        every slice is kept.  A root r with pivot j can divide only if that
+        slice vanishes at s_r, where the line meets r = 0, and its
         multiplicity is at most the order of vanishing there.  A nonzero
         value proves that the form does not divide; a zero is only a hint.
+        So no root is filtered out beforehand: a residual that lacks one of
+        r's variables, or has a constant term, is no multiple of r, and
+        should its slice vanish at s_r mod p by chance, the exact division
+        refuses the hint.
         """
-        # A form can divide only if the residual involves all its variables.
-        roots = [r for r in self.roots if not self._mask[r] & ~tmask]
-        pivots = {self._pivot[r] for r in roots}
-        slices = {j: {} for j in pivots}
+        slices = [{} for _ in range(self.n)]
         # One row of powers per coordinate of the point, up to the largest
         # exponent in the terms.
         top = max(map(max, terms))
@@ -276,18 +275,16 @@ class RootContext:
             for row, d in zip(table, e):
                 if d:
                     w = w * row[d] % _P
-            for j in pivots:
-                sl = slices[j]
-                d = e[j]
+            for sl, d in zip(slices, e):
                 sl[d] = sl.get(d, 0) + w
-        coeffs = {}
-        for j, sl in slices.items():
+        coeffs = []
+        for sl in slices:
             cs = [0] * (max(sl) + 1)
             for d, v in sl.items():
                 cs[d] = v % _P
-            coeffs[j] = cs
+            coeffs.append(cs)
         out = []
-        for r in roots:
+        for r in self.roots:
             bound = _vanishing_order(coeffs[self._pivot[r]], self._meet[r])
             if bound:
                 out.append((r, bound))
@@ -313,9 +310,6 @@ class RootContext:
         1.  So it is a root, extracted whole by one lookup, or it holds no
         root form; neither case is screened.
         """
-        # Root forms have no constant term, so neither has any multiple.
-        if (0,) * self.n in terms:
-            return terms
         coords = [0] * self.n
         for e, c in terms.items():
             if sum(e) != 1:
@@ -327,7 +321,7 @@ class RootContext:
                 return terms
             fac[root] = fac.get(root, 0) + sign
             return self._one
-        for root, bound in self._screen(terms, support_mask(terms)):
+        for root, bound in self._screen(terms):
             pivot = self._pivot[root]
             for _ in range(bound):
                 q = kernel.poly_div_linear(terms, root, pivot)
@@ -340,21 +334,31 @@ class RootContext:
     def build(self, unit, fac, num, den, free=None) -> "RootRational":
         """Normalize raw parts into a canonical RootRational.
 
-        The residuals are cancelled before any root form is divided out,
-        so an exchange step screens only its exact quotient; by unique
-        factorization (root forms are irreducible) the order does not
-        change the result.  Extraction can still leave residuals that
-        divide one another, when root factors alone kept them apart, as in
-        a user fraction (a1+a2)*p / (a1*p); a second cancel covers that.
+        Root forms are divided out of each side first, then the residuals
+        are cancelled where one exactly divides the other.  A cancel before
+        the extraction would change nothing: root forms are irreducible, so
+        by unique factorization N = R * N' and D = S * D' with R, S root
+        products and N', D' free of root forms; if D divides N, then D'
+        divides N' (and the same with N and D swapped), and if neither
+        divides, that cancel does nothing.  The cancel after extraction also
+        covers residuals that only root factors kept apart, as in a user
+        fraction (a1+a2)*p / (a1*p).  Exchange steps come here already
+        divided by their divisor (``sum_of_products``).
 
         ``free`` is an optional further factor of the numerator that holds
-        no root form and is primitive with a positive leading term, such
-        as a residual of a normalized value.  Root forms are screened and
-        extracted from ``num`` alone and ``free`` is multiplied in after:
-        by Gauss's lemma and unique factorization this is the residual that
-        extraction from ``num * free`` leaves, part for part.  A residual
-        denominator of 1, as every sum of engine values has, is neither
-        made primitive nor cancelled nor screened.
+        no root form and is primitive with a positive leading term, such as
+        a residual of a normalized value.  Root forms are screened and
+        extracted from ``num`` alone and ``free`` is multiplied in after: by
+        Gauss's lemma and unique factorization this is the residual that
+        extraction from ``num * free`` leaves, part for part.  It joins
+        after the cancel, because a numerator that divides the denominator
+        does so only without it: a sum of user fractions p/(A*B) -
+        p/(A*(A+B)) is p * A^2 / (A^2 * B * (A+B)) with ``free`` = p.  The
+        sides are cancelled once more after it joins, for a ``free`` that
+        divides the denominator or that it divides.  A residual denominator
+        of 1, as every sum of engine values has, is not made primitive, and
+        a residual of 1 on either side, as the quotient of most mutation
+        steps is, is not screened.
         """
         if not num:
             return self.zero()
@@ -372,33 +376,37 @@ class RootContext:
             return self.zero()
         fac = dict(fac)
         if den != one:
-            num, den = self._cancel_residuals(num, den)
             den = self._extract(den, fac, -1)
-        num = self._extract(num, fac, +1)
+        if num != one:
+            num = self._extract(num, fac, +1)
         fac = {r: e for r, e in fac.items() if e}
-        if free is not None:
-            num = kernel.poly_mul(num, free)
         if num != one and den != one:
             num, den = self._cancel_residuals(num, den)
+        if free is not None:
+            num = kernel.poly_mul(num, free)
+            if den != one:
+                num, den = self._cancel_residuals(num, den)
         return RootRational(self, unit, fac, num, den)
 
     def sum_over(self, values, divisor=None) -> "RootRational":
         """(sum of ``values``) / ``divisor``: one product per value."""
         return self.sum_of_products([((v, 1),) for v in values], divisor)
 
-    def _collect(self, pairs):
+    def _collect(self, pairs, parts):
         """(unit, root exponents, residuals) of prod(value ^ exp) over the
         (value, exp) ``pairs``, or None when a value is zero and exp > 0.
 
-        One pass multiplies the units, sums the root exponents and collects
-        each residual other than 1 as [residual, signed multiplicity, k]:
-        a numerator counts exp, a denominator -exp, and k is the index of
-        the value it came from, None once residuals of two values merged.
-        The exponents may be the dict of the first value; callers copy
-        before they change it.
+        One pass multiplies the units, sums the root exponents and meets
+        each residual other than 1 once: it is indexed into the list
+        ``parts`` (``_index``), which the caller may share between
+        products, and collected as {index: [signed multiplicity, k]}: a
+        numerator counts exp, a denominator -exp, and k is the index of the
+        value it came from, None once residuals of two values merged.  The
+        exponents may be the dict of the first value; callers copy before
+        they change it.
         """
         one = self._one
-        unit, fac, first, residuals = 1, None, None, []
+        unit, fac, first, residuals = 1, None, None, {}
         for k, (value, exp) in enumerate(pairs):
             if not value.unit:
                 if exp > 0:
@@ -415,13 +423,13 @@ class RootContext:
                     fac[r] = fac.get(r, 0) + e * exp
             for part, e in ((value.num, exp), (value.den, -exp)):
                 if part != one:
-                    for entry in residuals:
-                        if entry[0] == part:
-                            entry[1] += e
-                            entry[2] = None
-                            break
+                    j = _index(parts, part)
+                    entry = residuals.get(j)
+                    if entry is None:
+                        residuals[j] = [e, k]
                     else:
-                        residuals.append([part, e, k])
+                        entry[0] += e
+                        entry[1] = None
         return unit, {} if fac is None else fac, residuals
 
     def sum_of_products(self, products, divisor=None) -> "RootRational":
@@ -429,41 +437,39 @@ class RootContext:
         normalized by one ``build``.
 
         Each product is a sequence of (value, exp >= 1) pairs, gathered by
-        ``_collect``; a product holding a zero value is 0.  The products
-        share the least exponent of each root and of each residual, a
-        missing one counting 0 (``_least``), and only each product's excess
-        is multiplied out: its root forms, times its unit over the common
-        unit denominator, into one cofactor (``kernel.poly_form_product``),
-        its residuals kept as factors.  A shared residual with a positive
-        exponent holds no root form, so ``build`` takes it into its
-        root-free factor; the negative ones form the common denominator,
-        each distinct residual once.  The divisor's residual D is cancelled
-        where it stands: against a shared residual, or against a residual
-        of one product when D exactly divides the residual product of every
-        other one, as it does for an exchange step whose sum D divides (D
-        holds no root form).  The factor lists go to ``kernel.poly_sum_div``,
-        which forms their sum and divides it by any other D, on big-integer
-        encodings for a large step and on packed monomials otherwise; only a
-        sum that D does not divide is formed again and goes to ``build``
-        over D.  The divisor's residual denominator joins the root-free
-        factor.  A lone (value, 1) over no divisor is the value itself.
+        ``_collect`` into one list of residuals for all products, so each
+        residual is scanned for once; a product holding a zero value is 0.
+        The products share the least exponent of each root and of each
+        residual, a missing one counting 0 (``_least``), and only each
+        product's excess is multiplied out: its root forms, times its unit
+        over the common unit denominator, into one cofactor
+        (``kernel.poly_form_product``), its residuals kept as factors.  A
+        shared residual with a positive exponent holds no root form, so
+        ``build`` takes it into its root-free factor; the negative ones
+        form the common denominator, each distinct residual once.  The
+        divisor's residual D is cancelled where it stands: against a shared
+        residual, or against a residual of one product when D exactly
+        divides the residual product of every other one, as it does for an
+        exchange step whose sum D divides (D holds no root form).  The
+        factor lists go to ``kernel.poly_sum_div``, which forms their sum
+        and divides it by any other D, on big-integer encodings for a large
+        step and on packed monomials otherwise; only a sum that D does not
+        divide is formed again and goes to ``build`` over D.  The divisor's
+        residual denominator joins the root-free factor.  A lone (value, 1)
+        over no divisor is the value itself.
         """
         if divisor is not None and divisor.is_zero():
             raise ZeroDivisionError("division by the zero function")
         one = self._one
         units, facs, residuals, parts = [], [], [], []
         for pairs in products:
-            collected = self._collect(pairs)
+            collected = self._collect(pairs, parts)
             if collected is None:
                 continue
             live, (unit, fac, entries) = pairs, collected
-            own = {}
-            for part, e, _ in entries:
-                if e:
-                    own[_index(parts, part)] = e
             units.append(unit)
             facs.append(fac)
-            residuals.append(own)
+            residuals.append({j: e for j, (e, _) in entries.items() if e})
         if not units:
             return self.zero()
         if divisor is None and len(units) == 1 and len(live) == 1 and live[0][1] == 1:
@@ -533,12 +539,13 @@ class RootContext:
             return pairs[0][0]
         if any(exp < 0 and value.is_zero() for value, exp in pairs):
             raise ZeroDivisionError("inverse of the zero function")
-        collected = self._collect(pairs)
+        parts = []
+        collected = self._collect(pairs, parts)
         if collected is None:
             return self.zero()
         unit, fac, residuals = collected
-        tops = [[part, e, k] for part, e, k in residuals if e > 0]
-        bottoms = [[part, -e, k] for part, e, k in residuals if e < 0]
+        tops = [[parts[j], e, k] for j, (e, k) in residuals.items() if e > 0]
+        bottoms = [[parts[j], -e, k] for j, (e, k) in residuals.items() if e < 0]
         # m copies of a residual B dividing m copies of A leave m copies of
         # A / B on A's side; the lists grow while they are walked.  The two
         # residuals of one value k are normalized: neither divides the other.
@@ -737,13 +744,13 @@ class RootRational:
                 raise ZeroDivisionError(
                     f"pole: denominator factor {form_str(r)} vanishes at the point"
                 )
-        dv = MultiPoly(self.ctx.n, self.den).evaluate(point)
+        dv = kernel.poly_eval(self.den, point)
         if dv == 0:
             raise ZeroDivisionError("pole: residual denominator vanishes at the point")
         total = self.unit
         for r, e in self.fac.items():
             total *= values[r] ** e
-        nv = MultiPoly(self.ctx.n, self.num).evaluate(point)
+        nv = kernel.poly_eval(self.num, point)
         return total * nv / dv
 
     # -- serialization ----------------------------------------------------

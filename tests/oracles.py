@@ -10,6 +10,7 @@ oracles at the end take a ``RootContext`` and reach its ``build`` and the
 kernel's plain product and sum, never its sums of products.
 """
 
+from fractions import Fraction
 from math import lcm
 
 
@@ -331,6 +332,18 @@ def vanishing_order(coeffs, s, p):
         a = out[:-1]
         order += 1
     return order
+
+
+def evaluate_terms(terms, point):
+    """Exact value of a term dict at a point of rationals, term by term."""
+    total = Fraction(0)
+    for e, c in terms.items():
+        v = Fraction(c)
+        for x, k in zip(point, e):
+            if k:
+                v *= Fraction(x) ** k
+        total += v
+    return total
 
 
 def sum_by_common_denominator(ctx, values, divisor=None):

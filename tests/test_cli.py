@@ -27,9 +27,10 @@ from krtorus.cli import (
     MAX_WINDOW,
     main,
 )
+from krtorus.cuspidal import CuspidalRecursion
 from krtorus.errors import InvalidInputError
-from krtorus.field.rational import RootRational
-from krtorus.suites import SUITES
+from krtorus.field.rational import RootRational, form_str
+from krtorus.suites import SUITES, SuiteResult
 
 
 SS = ["--type", "A", "--rank", "3", "--orientation", "2>1,2>3"]
@@ -134,6 +135,18 @@ def test_dbar_cuspidal(capsys):
     assert code == 2
 
 
+def test_dbar_cuspidal_via_pair_inapplicable(capsys):
+    frame = build_frame("E", 6)
+    beta = CuspidalRecursion(frame).coverage()[1][0]
+    argv = ["dbar-cuspidal", "--type", "E", "--rank", "6",
+            "--beta", ",".join(map(str, beta)), "--via-pair"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == f"inapplicable: no dominant-minuscule route to {form_str(beta)}\n"
+    code, out, _ = run(capsys, [*argv, "--format", "json"])
+    assert code == 0 and json.loads(out) == {"inapplicable": True, "root": list(beta)}
+
+
 def test_dbar_flag(capsys):
     code, out, _ = run(
         capsys, ["dbar-flag", "--type", "A", "--rank", "2", "--word", "1,2,1"]
@@ -162,6 +175,33 @@ def test_dbar_weights_from_file(capsys, tmp_path):
         capsys, ["dbar-weights", "--type", "A", "--rank", "2", "--file", str(path)]
     )
     assert code == 0 and out.strip() == "1/(a1*a2)"
+
+
+def test_dbar_weights_from_stdin_matches_file(capsys, tmp_path, monkeypatch):
+    data = json.dumps([{"word": list(w), "dim": 1 + w[0] % 2} for w in permutations([1, 2, 3])])
+    path = tmp_path / "weights.json"
+    path.write_text(data)
+    argv = ["dbar-weights", "--type", "A", "--rank", "3", "--format", "json", "--file"]
+    code, from_file, _ = run(capsys, [*argv, str(path)])
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(data))
+    code, from_stdin, _ = run(capsys, [*argv, "-"])
+    assert code == 0 and from_stdin == from_file
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[{", '{"word": [1, 2]}', "[1, 2]", '[{"word": [1, 2]}]', '[{"word": [1, 2], "dim": "two"}]'],
+)
+def test_dbar_weights_malformed_json_exit_two(capsys, tmp_path, text):
+    path = tmp_path / "weights.json"
+    path.write_text(text)
+    code, out, err = run(
+        capsys, ["dbar-weights", "--type", "A", "--rank", "2", "--file", str(path)]
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad weight data: ")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
@@ -209,6 +249,30 @@ def test_verify_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", *SS, "--suite", "nonsense"])
     assert exc.value.code == 2
+
+
+def test_verify_seed_repeats_its_output(capsys):
+    argv = ["verify", *SS, "--suite", "flagminors", "--seed", "7"]
+    first = run(capsys, argv)
+    assert first[0] == 0 and "ok   word 10" in first[1]
+    assert run(capsys, argv) == first
+
+
+def test_verify_failure_prints_witness(capsys, monkeypatch):
+    def failing(frame, **_):
+        res = SuiteResult("figure2")
+        res.check(True, "first check")
+        res.check(False, "second check", witness="a1+a2")
+        return res
+
+    monkeypatch.setitem(SUITES, "figure2", failing)
+    code, out, err = run(capsys, ["verify", *SS, "--suite", "figure2"])
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        "ok   first check",
+        "FAIL second check",
+        "witness: {'label': 'second check', 'witness': 'a1+a2'}",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,12 @@ from krtorus.field.rational import RootContext
 from krtorus.suites import run_suite
 from krtorus.torusmap import TorusMorphism
 
-from oracles import exchange_by_composition, sum_by_common_denominator, vanishing_order
+from oracles import (
+    evaluate_terms,
+    exchange_by_composition,
+    sum_by_common_denominator,
+    vanishing_order,
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,19 +67,29 @@ def test_kernel_div_linear_exact_and_failing():
     assert kernel.poly_div_linear(p, (0, 1, 2), 2) is None
 
 
-def evaluate_terms(terms, point):
-    total = Fraction(0)
-    for e, c in terms.items():
-        v = Fraction(c)
-        for x, k in zip(point, e):
-            v *= x**k
-        total += v
-    return total
-
-
 POINTS = st.lists(
     st.fractions(min_value=-9, max_value=9, max_denominator=7), min_size=3, max_size=3
 )
+
+
+@given(
+    terms=st.one_of(poly_dicts(), poly_dicts(n=3, max_terms=6, coeffs=FRACTIONS)),
+    point=st.lists(
+        st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7)),
+        min_size=3,
+        max_size=3,
+    ),
+)
+@example(terms={(2, 0, 1): 3, (0, 1, 0): Fraction(-1, 2), (0, 0, 0): 5},
+         point=[Fraction(1, 3), 0, Fraction(-5, 2)])
+@settings(max_examples=150, deadline=None)
+def test_poly_eval_matches_term_loop(terms, point):
+    # Int and Fraction coefficients, terms of mixed degree, coordinates
+    # negative, zero or with denominators.
+    want = evaluate_terms(terms, point)
+    got = kernel.poly_eval(terms, point)
+    assert type(got) is Fraction and got == want
+    assert MultiPoly(3, terms).evaluate(point) == want
 
 
 @given(a=poly_dicts(), b=poly_dicts(), point=POINTS)
@@ -408,6 +423,46 @@ def test_plain_loops_never_encode():
     assert p == tuple_product(a, b)
 
 
+def test_gate_refuses_fraction_coefficients():
+    # Operands that pass every size and density test stay on the packed
+    # path once one coefficient is a Fraction: the encoding holds ints.
+    rnd = random.Random(5)
+    a = dense(rnd, 4, 4, 0.7, KRON_COEFFS["small"])
+    b = dense(rnd, 4, 17, 0.55, KRON_COEFFS["small"])
+    assert on_kron_path(a, b)
+    a[min(a)] = Fraction(1, 3)
+    assert kernel._degree(a) is None and kernel._degree(b) == 17
+    assert not on_kron_path(a, b)
+    with mock.patch.object(kernel, "_groups", wraps=kernel._groups) as spy:
+        assert kernel.poly_sum_div([[(a, 1), (b, 1)]]) == kernel.poly_mul(a, b)
+    assert not spy.called
+
+
+def test_encoded_division_early_returns():
+    rnd = random.Random(11)
+    p = dense(rnd, 3, 4, 0.8, KRON_COEFFS["small"])
+    g = dense(rnd, 3, 2, 0.8, KRON_COEFFS["small"])
+    g[min(g)] = 1  # primitive
+    minus_p = {e: -c for e, c in p.items()}
+    # A sum that cancels to zero is divisible, with quotient 0.
+    products = [[(p, 1), (g, 1)], [(minus_p, 1), (g, 1)]]
+    assert kernel._kron(products, g, 4) == {} == kernel.poly_div_exact(fold_sum(products), g)
+    # The next two return None before any division is tried.  A nonzero
+    # sum of lower degree than g (g's tail exponent 1 stays below the
+    # stride 2, so the degree alone decides):
+    low = {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): -1}
+    wide = {(2, 0, 0): 1, (1, 1, 0): 1, (0, 0, 2): 3}
+    # and a g that reaches a higher exponent of the second-to-last
+    # variable than any term of the sum holds (its tail passes the stride):
+    flat = {e: c for e, c in p.items() if e[1] <= 1}
+    tall = {(0, 3, 0): 1, (1, 0, 2): -1, (2, 1, 0): 2}
+    for total, divisor, degree in ((low, wide, -1), (flat, tall, 1)):
+        with mock.patch.object(kernel, "_packed_div_exact") as divide:
+            assert kernel._kron([[(total, 1)]], divisor, degree) is None
+        assert not divide.called
+        assert kernel.poly_div_exact(total, divisor) is None
+
+
 def fold_sum(products):
     """Reference sum of products of (terms, exp) factors, by poly_mul and poly_add."""
     total = {}
@@ -630,7 +685,7 @@ def reference_build(ctx, unit, num, den):
     return Fraction(unit) * cn / cd, {r: e for r, e in fac.items() if e}, num, den
 
 
-def every_root_is_a_candidate(self, terms, tmask):
+def every_root_is_a_candidate(self, terms):
     return [(r, max(sum(e) for e in terms)) for r in self.roots]
 
 
@@ -748,9 +803,9 @@ def test_exchange_steps_screen_the_quotient(monkeypatch):
     screened = []
     screen = RootContext._screen
 
-    def counted_screen(self, terms, tmask):
+    def counted_screen(self, terms):
         screened.append(len(terms))
-        return screen(self, terms, tmask)
+        return screen(self, terms)
 
     failed = []
 
@@ -944,6 +999,21 @@ def test_sum_over_multiplies_each_denominator_in_once(ctx):
         )
     pair = ctx.from_fraction(p, L) + ctx.from_fraction(q, L)
     assert str(pair) == "(a1 + 3*a2 + 3*a3)/(a1 - a2)"
+
+
+def test_sum_numerator_dividing_the_denominator_cancels(ctx):
+    # R/(A*B) - R/(A*C) with C = A + B: the shared numerator R joins the
+    # sum after it, and the sum R*A over A^2*B*C cancels to R/(B*C).  Were
+    # R multiplied in before the sides were cancelled, R*A^2 would divide
+    # no side and both would keep A^2.
+    A = MultiPoly(3, {(1, 1, 0): 1, (0, 0, 2): -1})
+    B = MultiPoly(3, {(2, 0, 0): 1, (0, 1, 1): 3})
+    C = A + B
+    R = MultiPoly(3, {(0, 2, 0): 1, (1, 0, 1): 1, (0, 0, 2): 1})
+    got = ctx.sum_over([ctx.from_fraction(R, A * B), ctx.from_fraction(-R, A * C)])
+    want = ctx.from_fraction(R, B * C)
+    assert (got.unit, got.fac, got.num, got.den) == (want.unit, want.fac, want.num, want.den)
+    assert (len(got.num), len(got.den)) == (3, 7)
 
 
 @lru_cache(maxsize=None)
