@@ -2,7 +2,8 @@
 
 Every suite recomputes values from scratch and compares them against
 structural identities or pinned constants; a failing check carries a
-witness describing where it broke.  The constants embedded here are the
+witness naming the first input that fails, with the value got and the
+value wanted (``_first_miss``).  The constants embedded here are the
 hand-checked tables for the rank-3 sink-source frame and its coefficient
 series; everything else is recomputed on both sides.
 """
@@ -114,7 +115,8 @@ def suite_figure2(frame, **_):
         k = 1 + (frame.xi[i] - p) // 2
         got = calc.kr_value(i, p, k)
         want = calc.ctx.from_root_factors((r, -1) for r in roots)
-        res.check(got == want, f"node ({i},{p}) k={k}", witness=got)
+        miss = _first_miss("(i, p, k)", [((i, p, k), got, want)])
+        res.check(miss is None, f"node ({i},{p}) k={k}", witness=miss)
     return res
 
 
@@ -127,7 +129,8 @@ def suite_mutations(frame, **_):
     for v, (num, dens) in SINK_SOURCE_A3_MUTATIONS.items():
         got = mutate(seed, v).values[v]
         want = calc.ctx.from_root_factors([(num, 1)] + [(r, -1) for r in dens])
-        res.check(got == want, f"mutation at {v}", witness=got)
+        miss = _first_miss("vertex", [(v, got, want)])
+        res.check(miss is None, f"mutation at {v}", witness=miss)
     return res
 
 
@@ -144,16 +147,26 @@ def suite_properties(frame, tmax=None, **_):
     return res
 
 
-def _full_period_factor_is_one(frame, i, p):
-    """Whether G(i, p) of ``TorusMorphism.initial_value`` is 1, read from
-    ``table.coeff`` and ``beta_eps`` alone."""
+def _first_miss(name, cases):
+    """Witness of the first (input, got, want) of ``cases`` with got !=
+    want, naming the input ``name``; None when every case agrees.  The
+    values are formatted only for the case that fails."""
+    for x, got, want in cases:
+        if not got == want:
+            return f"{name}={x}: got {got}, want {want}"
+    return None
+
+
+def _full_period_exponents(frame, i, p):
+    """{root: exponent} of G(i, p) of ``TorusMorphism.initial_value``, {}
+    when G is 1, read from ``table.coeff`` and ``beta_eps`` alone."""
     table, h = frame.datum.qcartan, frame.h
     exps = {}
     for j in frame.datum.vertices():
         for s in range(p - 2 * h + (frame.xi[j] - p) % 2, min(p, frame.xi[j] + 1), 2):
             root = frame.beta_eps(j, s)[0]
             exps[root] = exps.get(root, 0) - table.coeff(i, j, s - p + 2 * h + 1)
-    return not any(exps.values())
+    return {r: e for r, e in exps.items() if e}
 
 
 def suite_periodicity(frame, tmax=None, **_):
@@ -162,25 +175,25 @@ def suite_periodicity(frame, tmax=None, **_):
     res = SuiteResult("periodicity")
     tmax = tmax or frame.N
     # t and t + 2N share one memo entry and one G, so check G for t <= 2N
-    shift_ok = all(
-        _full_period_factor_is_one(frame, *frame.phi_inv(t))
-        for t in range(1, min(tmax, 2 * frame.N) + 1)
+    miss = _first_miss(
+        "t",
+        (
+            (t, _full_period_exponents(frame, *frame.phi_inv(t)), {})
+            for t in range(1, min(tmax, 2 * frame.N) + 1)
+        ),
     )
-    res.check(shift_ok, f"values repeat after 2N for t <= {tmax}")
+    res.check(miss is None, f"values repeat after 2N for t <= {tmax}", witness=miss)
     for i in frame.datum.vertices():
         p = frame.xi[i] - 2 * frame.h + 2
-        res.check(
-            calc.kr_value(i, p, frame.h).is_one(),
-            f"full-period class at vertex {i} is 1",
-        )
+        miss = _first_miss("(i, p, k)", [((i, p, frame.h), calc.kr_value(i, p, frame.h), 1)])
+        res.check(miss is None, f"full-period class at vertex {i} is 1", witness=miss)
         mono = {(i, p + 2 * j): 1 for j in range(frame.h)}
-        res.check(
-            calc.monomial_value(mono).is_one(),
-            f"full-period monomial at vertex {i} maps to 1",
-        )
+        miss = _first_miss("monomial", [(mono, calc.monomial_value(mono), 1)])
+        res.check(miss is None, f"full-period monomial at vertex {i} maps to 1", witness=miss)
     seed = initial_seed(calc, 2 * frame.N, specialize_frozen=False)
     for t in sorted(seed.quiver.frozen):
-        res.check(seed.values[t].is_one(), f"frozen vertex {t} carries value 1")
+        miss = _first_miss("t", [(t, seed.values[t], 1)])
+        res.check(miss is None, f"frozen vertex {t} carries value 1", witness=miss)
     return res
 
 
@@ -191,55 +204,57 @@ def suite_ctilde(frame, **_):
     table = datum.qcartan
     if datum.family == "A" and datum.rank == 3:
         for (i, j), series in A3_COEFF_SERIES.items():
-            got = {m: table.coeff(i, j, m) for m in range(1, 17)}
-            want = {m: series.get(m, 0) for m in range(1, 17)}
-            res.check(got == want, f"series ({i},{j}) m<=16", witness=got)
+            miss = _first_miss(
+                "m", ((m, table.coeff(i, j, m), series.get(m, 0)) for m in range(1, 17))
+            )
+            res.check(miss is None, f"series ({i},{j}) m<=16", witness=miss)
     for i in datum.vertices():
         for j in datum.vertices():
             d = datum.d(i, j)
-            res.check(
-                all(table.coeff(i, j, m) == 0 for m in range(1, d + 1)),
-                f"coeff({i},{j},m)=0 for m <= distance {d}",
-            )
-            res.check(
-                table.coeff(i, j, d + 1) == 1,
-                f"coeff({i},{j},distance+1) = 1",
-            )
-    sym_ok = all(
-        table.coeff(i, j, m) == table.coeff(j, i, m)
-        for i in datum.vertices()
-        for j in datum.vertices()
-        for m in range(1, 2 * frame.h + 1)
+            miss = _first_miss("m", ((m, table.coeff(i, j, m), 0) for m in range(1, d + 1)))
+            res.check(miss is None, f"coeff({i},{j},m)=0 for m <= distance {d}", witness=miss)
+            miss = _first_miss("m", [(d + 1, table.coeff(i, j, d + 1), 1)])
+            res.check(miss is None, f"coeff({i},{j},distance+1) = 1", witness=miss)
+    miss = _first_miss(
+        "(i, j, m)",
+        (
+            ((i, j, m), table.coeff(i, j, m), table.coeff(j, i, m))
+            for i in datum.vertices()
+            for j in datum.vertices()
+            for m in range(1, 2 * frame.h + 1)
+        ),
     )
-    res.check(sym_ok, "table is symmetric")
+    res.check(miss is None, "table is symmetric", witness=miss)
     # The table stores one period, so comparing m with m + 2h would read
     # one row twice.  The half-period identity c(i, j, m+h) = -c(i, j*, m)
     # is not built in, and implies the 2h period since * is an involution.
-    period_ok = all(
-        table.coeff(i, j, m + frame.h) == -table.coeff(i, datum.star[j], m)
-        for i in datum.vertices()
-        for j in datum.vertices()
-        for m in range(1, frame.h + 1)
+    miss = _first_miss(
+        "(i, j, m)",
+        (
+            ((i, j, m), table.coeff(i, j, m + frame.h), -table.coeff(i, datum.star[j], m))
+            for i in datum.vertices()
+            for j in datum.vertices()
+            for m in range(1, frame.h + 1)
+        ),
     )
-    res.check(period_ok, "coefficients repeat with period 2h")
-    window_ok = True
-    witness = None
-    for i in datum.vertices():
-        for j in datum.vertices():
-            for mi in range(frame.h):
-                for mj in range(frame.h):
-                    p = frame.xi[i] - 2 * mi
-                    s = frame.xi[j] - 2 * mj
-                    if s < p:
-                        continue
-                    bi, ei = frame.beta_eps(i, p)
-                    bj, ej = frame.beta_eps(j, s)
-                    got = table.coeff(i, j, s - p + 1)
-                    want = ei * ej * frame.euler_form(bi, bj)
-                    if got != want:
-                        window_ok = False
-                        witness = ((i, p), (j, s), got, want)
-    res.check(window_ok, "coefficients match signed Euler pairings", witness=witness)
+    res.check(miss is None, "coefficients repeat with period 2h", witness=miss)
+
+    def pairings():
+        for i in datum.vertices():
+            for j in datum.vertices():
+                for mi in range(frame.h):
+                    for mj in range(frame.h):
+                        p = frame.xi[i] - 2 * mi
+                        s = frame.xi[j] - 2 * mj
+                        if s < p:
+                            continue
+                        bi, ei = frame.beta_eps(i, p)
+                        bj, ej = frame.beta_eps(j, s)
+                        want = ei * ej * frame.euler_form(bi, bj)
+                        yield ((i, p), (j, s)), table.coeff(i, j, s - p + 1), want
+
+    miss = _first_miss("((i, p), (j, s))", pairings())
+    res.check(miss is None, "coefficients match signed Euler pairings", witness=miss)
     return res
 
 
@@ -253,12 +268,29 @@ def suite_tsystem(frame, **_):
     for i in frame.datum.vertices():
         for r in range(1, frame.n_letters[i] + 1):
             s = frame.xi[i] - 2 * (r - 1)
-            ok = all(
-                closed(frame, i, s, k) == calc.kr_value(i, s, k)
-                for k in range(1, r + 1)
+            # The closed form is checked against the recursion.
+            miss = _first_miss(
+                "k", ((k, closed(frame, i, s, k), calc.kr_value(i, s, k)) for k in range(1, r + 1))
             )
-            res.check(ok, f"labels at ({i},{s})")
+            res.check(miss is None, f"labels at ({i},{s})", witness=miss)
     return res
+
+
+def _first_drop(word, products):
+    """Witness of the first root whose multiplicity in the minor products
+    along ``word`` drops by more than 1 from a letter's previous position
+    to the next one: the word, the position (from 1), the root and the
+    drop; None when no drop exceeds 1."""
+    latest = {}  # letter -> P at its latest position so far
+    for pos, (letter, product) in enumerate(zip(word, products), 1):
+        pn = product.root_factors
+        pj = latest.get(letter, {})
+        for beta in set(pj) | set(pn):
+            drop = pj.get(beta, 0) - pn.get(beta, 0)
+            if drop > 1:
+                return f"word {list(word)}: position {pos}, root {beta}: drop {drop}, want <= 1"
+        latest[letter] = pn
+    return None
 
 
 def suite_flagminors(frame, count=10, seed=2024, **_):
@@ -267,23 +299,14 @@ def suite_flagminors(frame, count=10, seed=2024, **_):
     rng = random.Random(seed)
     calc = TorusMorphism(frame)
     table = standard_seed_minors(frame)
-    adapted_ok = all(
-        table.value(t) == calc.initial_value(t) for t in range(1, frame.N + 1)
+    miss = _first_miss(
+        "t", ((t, table.value(t), calc.initial_value(t)) for t in range(1, frame.N + 1))
     )
-    res.check(adapted_ok, "adapted word matches the torus morphism")
+    res.check(miss is None, "adapted word matches the torus morphism", witness=miss)
     for trial in range(count):
         word = braid_shuffle(frame.datum, frame.base_word, 60, rng)
-        t = standard_seed_minors(frame, word)
-        drop_ok = True
-        latest = {}  # letter -> P at its latest position so far
-        for letter, product in zip(word, t.products):
-            pn = product.root_factors
-            pj = latest.get(letter, {})
-            for beta in set(pj) | set(pn):
-                if pj.get(beta, 0) - pn.get(beta, 0) > 1:
-                    drop_ok = False
-            latest[letter] = pn
-        res.check(drop_ok, f"word {trial + 1}: multiplicity drop <= 1")
+        miss = _first_drop(word, standard_seed_minors(frame, word).products)
+        res.check(miss is None, f"word {trial + 1}: multiplicity drop <= 1", witness=miss)
     return res
 
 
@@ -313,7 +336,8 @@ def suite_schurweyl(frame, count=50, seed=2024, **_):
         predicted = dimension_ratio(n, exps)
         total = sum(i * m for (i, _), m in exps.items())
         got = factorial(total) * calc.monomial_value(mono).evaluate(ones)
-        res.check(predicted == got, f"exponents {sorted(exps.items())}", witness=got)
+        miss = _first_miss("exponents", [(sorted(exps.items()), got, predicted)])
+        res.check(miss is None, f"exponents {sorted(exps.items())}", witness=miss)
     return res
 
 
@@ -331,13 +355,14 @@ def suite_minpairs(frame, **_):
                     segment_d(n, p, sigma_d(n, n - 1, p)),
                     segment_d(n, q, sigma_d(n, n, p)),
                 )
-                res.check(got == want, f"pair of theta[{p},{q}]", witness=got)
+                miss = _first_miss("(p, q)", [((p, q), got, want)])
+                res.check(miss is None, f"pair of theta[{p},{q}]", witness=miss)
     rec = CuspidalRecursion(frame)
     if fam in ("A", "D"):
         for beta in frame.positive_roots:
-            got = rec.value(beta)
-            ok = got is not None and got == cuspidal_value(frame, beta)
-            res.check(ok, f"recursion value at {beta}", witness=got)
+            # The recursion gives None for a root it does not reach.
+            miss = _first_miss("root", [(beta, rec.value(beta), cuspidal_value(frame, beta))])
+            res.check(miss is None, f"recursion value at {beta}", witness=miss)
     else:
         good, bad = rec.coverage()
         res.lines.append(

@@ -14,7 +14,7 @@ from krtorus.cluster import initial_seed
 from krtorus import suites
 from krtorus.cuspidal import FlagMinorTable, standard_seed_minors
 from krtorus.errors import InvalidInputError
-from krtorus.suites import _full_period_factor_is_one, run_suite
+from krtorus.suites import _full_period_exponents, run_suite
 from krtorus.torusmap import TorusMorphism
 
 from oracles import (
@@ -85,7 +85,7 @@ def test_full_period_factor_is_one_on_every_strip(frame):
         for d in range(h):
             p = frame.xi[i] - 2 * d
             assert full_period_exponents(coeffs, columns, frame.xi, h, i, p) == {}
-            assert _full_period_factor_is_one(frame, i, p)
+            assert _full_period_exponents(frame, i, p) == {}
 
 
 def test_periodicity_suite_sees_a_full_period_factor(monkeypatch):

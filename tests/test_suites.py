@@ -1,8 +1,11 @@
 import pytest
 
+from krtorus import suites
 from krtorus.cartan import build_frame
+from krtorus.cuspidal import FlagMinorTable
 from krtorus.errors import InvalidInputError
 from krtorus.suites import SUITES, run_suite
+from krtorus.torusmap import TorusMorphism
 
 
 def test_unknown_suite_name(a2):
@@ -65,3 +68,78 @@ def test_failing_check_collects_witness(a3_sink_source):
     ok = result.check(False, "forced", witness="detail")
     assert not ok and not result.ok
     assert result.witnesses == [{"label": "forced", "witness": "detail"}]
+
+
+def _break_ctilde(monkeypatch, frame):
+    # An asymmetric shift breaks the distance, symmetry, period and
+    # pairing checks.
+    table = frame.datum.qcartan
+    coeff = table.coeff
+    monkeypatch.setattr(table, "coeff", lambda i, j, m: coeff(i, j, m) + (i < j))
+
+
+def _break_tsystem(monkeypatch, frame):
+    closed = suites.closed_form_type_a
+
+    def doubled(f, i, s, k):  # wrong from k = 2 on
+        return (1 + (k > 1)) * closed(f, i, s, k)
+
+    monkeypatch.setattr(suites, "closed_form_type_a", doubled)
+
+
+def _break_flagminors(monkeypatch, frame):
+    # Cubed minor products break the adapted word and every drop of 1.
+    minors = suites.standard_seed_minors
+    monkeypatch.setattr(
+        suites,
+        "standard_seed_minors",
+        lambda f, word=None: FlagMinorTable(word, [p**3 for p in minors(f, word).products]),
+    )
+
+
+def _break_periodicity(monkeypatch, frame):
+    class Doubled(TorusMorphism):
+        def kr_value(self, i, p, k):
+            return 2 * super().kr_value(i, p, k)
+
+        def monomial_value(self, mono):
+            return 2 * super().monomial_value(mono)
+
+        def initial_value(self, t):
+            return 2 * super().initial_value(t)
+
+    table = frame.datum.qcartan
+    coeff = table.coeff
+    monkeypatch.setattr(table, "coeff", lambda i, j, m: coeff(i, j, m) + (m == 2 * frame.h))
+    monkeypatch.setattr(suites, "TorusMorphism", Doubled)
+
+
+def _break_minpairs(monkeypatch, frame):
+    # A root that the recursion does not reach gives None.
+    monkeypatch.setattr(suites.CuspidalRecursion, "value", lambda self, beta: None)
+
+
+@pytest.mark.parametrize(
+    "name, breaks, failing",
+    [
+        ("ctilde", _break_ctilde, ["distance 1", "distance+1", "symmetric", "period 2h", "Euler"]),
+        ("tsystem", _break_tsystem, ["labels at (1,-2)"]),
+        ("flagminors", _break_flagminors, ["adapted word", "word 1: multiplicity drop"]),
+        ("minpairs", _break_minpairs, ["recursion value at (1, 0, 0)"]),
+        (
+            "periodicity",
+            _break_periodicity,
+            ["repeat after 2N", "class at vertex 1", "monomial at vertex 1", "frozen vertex"],
+        ),
+    ],
+)
+def test_every_failing_check_carries_a_witness(monkeypatch, name, breaks, failing):
+    frame = build_frame("A", 3)
+    breaks(monkeypatch, frame)
+    result = run_suite(name, frame, count=2)
+    fails = [line[len("FAIL ") :] for line in result.lines if line.startswith("FAIL ")]
+    assert not result.ok
+    assert all(any(part in label for label in fails) for part in failing)
+    witnessed = {w["label"]: w["witness"] for w in result.witnesses}
+    assert sorted(witnessed) == sorted(fails)
+    assert all(": got " in w or ": drop " in w for w in witnessed.values())
