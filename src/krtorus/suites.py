@@ -1,11 +1,12 @@
 """Orchestrated verification suites behind the ``verify`` CLI command.
 
 Every suite recomputes values from scratch and compares them against
-structural identities or pinned constants; a failing check carries a
-witness naming the first input that fails, with the value got and the
-value wanted (``_first_miss``).  The constants embedded here are the
-hand-checked tables for the rank-3 sink-source frame and its coefficient
-series; everything else is recomputed on both sides.
+structural identities or pinned constants.  A check states its cases in
+one call, ``SuiteResult.expect``: a failing check carries a witness
+naming the first input that fails, with the value got and the value
+wanted.  The constants embedded here are the hand-checked tables for the
+rank-3 sink-source frame and its coefficient series; everything else is
+recomputed on both sides.
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ class SuiteResult:
             if witness is not None:
                 self.witnesses.append({"label": label, "witness": str(witness)})
         return cond
+
+    def expect(self, label: str, name: str, cases):
+        """``check`` that got == want for every (input, got, want) of
+        ``cases``; the first case that differs is the witness, naming its
+        input ``name``.  Values are formatted only for that case."""
+        for x, got, want in cases:
+            if not got == want:
+                return self.check(False, label, f"{name}={x}: got {got}, want {want}")
+        return self.check(True, label)
 
 
 # The rank-3 sink-source frame: reciprocal values at the first 15 nodes,
@@ -115,8 +125,7 @@ def suite_figure2(frame, **_):
         k = 1 + (frame.xi[i] - p) // 2
         got = calc.kr_value(i, p, k)
         want = calc.ctx.from_root_factors((r, -1) for r in roots)
-        miss = _first_miss("(i, p, k)", [((i, p, k), got, want)])
-        res.check(miss is None, f"node ({i},{p}) k={k}", witness=miss)
+        res.expect(f"node ({i},{p}) k={k}", "(i, p, k)", [((i, p, k), got, want)])
     return res
 
 
@@ -129,8 +138,7 @@ def suite_mutations(frame, **_):
     for v, (num, dens) in SINK_SOURCE_A3_MUTATIONS.items():
         got = mutate(seed, v).values[v]
         want = calc.ctx.from_root_factors([(num, 1)] + [(r, -1) for r in dens])
-        miss = _first_miss("vertex", [(v, got, want)])
-        res.check(miss is None, f"mutation at {v}", witness=miss)
+        res.expect(f"mutation at {v}", "vertex", [(v, got, want)])
     return res
 
 
@@ -145,16 +153,6 @@ def suite_properties(frame, tmax=None, **_):
         res.ok = False
         res.witnesses.extend(report.violations)
     return res
-
-
-def _first_miss(name, cases):
-    """Witness of the first (input, got, want) of ``cases`` with got !=
-    want, naming the input ``name``; None when every case agrees.  The
-    values are formatted only for the case that fails."""
-    for x, got, want in cases:
-        if not got == want:
-            return f"{name}={x}: got {got}, want {want}"
-    return None
 
 
 def _full_period_exponents(frame, i, p):
@@ -175,25 +173,19 @@ def suite_periodicity(frame, tmax=None, **_):
     res = SuiteResult("periodicity")
     tmax = tmax or frame.N
     # t and t + 2N share one memo entry and one G, so check G for t <= 2N
-    miss = _first_miss(
-        "t",
-        (
-            (t, _full_period_exponents(frame, *frame.phi_inv(t)), {})
-            for t in range(1, min(tmax, 2 * frame.N) + 1)
-        ),
-    )
-    res.check(miss is None, f"values repeat after 2N for t <= {tmax}", witness=miss)
+    ts = range(1, min(tmax, 2 * frame.N) + 1)
+    cases = ((t, _full_period_exponents(frame, *frame.phi_inv(t)), {}) for t in ts)
+    res.expect(f"values repeat after 2N for t <= {tmax}", "t", cases)
     for i in frame.datum.vertices():
         p = frame.xi[i] - 2 * frame.h + 2
-        miss = _first_miss("(i, p, k)", [((i, p, frame.h), calc.kr_value(i, p, frame.h), 1)])
-        res.check(miss is None, f"full-period class at vertex {i} is 1", witness=miss)
+        cases = [((i, p, frame.h), calc.kr_value(i, p, frame.h), 1)]
+        res.expect(f"full-period class at vertex {i} is 1", "(i, p, k)", cases)
         mono = {(i, p + 2 * j): 1 for j in range(frame.h)}
-        miss = _first_miss("monomial", [(mono, calc.monomial_value(mono), 1)])
-        res.check(miss is None, f"full-period monomial at vertex {i} maps to 1", witness=miss)
+        cases = [(mono, calc.monomial_value(mono), 1)]
+        res.expect(f"full-period monomial at vertex {i} maps to 1", "monomial", cases)
     seed = initial_seed(calc, 2 * frame.N, specialize_frozen=False)
     for t in sorted(seed.quiver.frozen):
-        miss = _first_miss("t", [(t, seed.values[t], 1)])
-        res.check(miss is None, f"frozen vertex {t} carries value 1", witness=miss)
+        res.expect(f"frozen vertex {t} carries value 1", "t", [(t, seed.values[t], 1)])
     return res
 
 
@@ -204,40 +196,32 @@ def suite_ctilde(frame, **_):
     table = datum.qcartan
     if datum.family == "A" and datum.rank == 3:
         for (i, j), series in A3_COEFF_SERIES.items():
-            miss = _first_miss(
-                "m", ((m, table.coeff(i, j, m), series.get(m, 0)) for m in range(1, 17))
-            )
-            res.check(miss is None, f"series ({i},{j}) m<=16", witness=miss)
+            cases = ((m, table.coeff(i, j, m), series.get(m, 0)) for m in range(1, 17))
+            res.expect(f"series ({i},{j}) m<=16", "m", cases)
     for i in datum.vertices():
         for j in datum.vertices():
             d = datum.d(i, j)
-            miss = _first_miss("m", ((m, table.coeff(i, j, m), 0) for m in range(1, d + 1)))
-            res.check(miss is None, f"coeff({i},{j},m)=0 for m <= distance {d}", witness=miss)
-            miss = _first_miss("m", [(d + 1, table.coeff(i, j, d + 1), 1)])
-            res.check(miss is None, f"coeff({i},{j},distance+1) = 1", witness=miss)
-    miss = _first_miss(
-        "(i, j, m)",
-        (
-            ((i, j, m), table.coeff(i, j, m), table.coeff(j, i, m))
-            for i in datum.vertices()
-            for j in datum.vertices()
-            for m in range(1, 2 * frame.h + 1)
-        ),
+            cases = ((m, table.coeff(i, j, m), 0) for m in range(1, d + 1))
+            res.expect(f"coeff({i},{j},m)=0 for m <= distance {d}", "m", cases)
+            cases = [(d + 1, table.coeff(i, j, d + 1), 1)]
+            res.expect(f"coeff({i},{j},distance+1) = 1", "m", cases)
+    cases = (
+        ((i, j, m), table.coeff(i, j, m), table.coeff(j, i, m))
+        for i in datum.vertices()
+        for j in datum.vertices()
+        for m in range(1, 2 * frame.h + 1)
     )
-    res.check(miss is None, "table is symmetric", witness=miss)
+    res.expect("table is symmetric", "(i, j, m)", cases)
     # The table stores one period, so comparing m with m + 2h would read
     # one row twice.  The half-period identity c(i, j, m+h) = -c(i, j*, m)
     # is not built in, and implies the 2h period since * is an involution.
-    miss = _first_miss(
-        "(i, j, m)",
-        (
-            ((i, j, m), table.coeff(i, j, m + frame.h), -table.coeff(i, datum.star[j], m))
-            for i in datum.vertices()
-            for j in datum.vertices()
-            for m in range(1, frame.h + 1)
-        ),
+    cases = (
+        ((i, j, m), table.coeff(i, j, m + frame.h), -table.coeff(i, datum.star[j], m))
+        for i in datum.vertices()
+        for j in datum.vertices()
+        for m in range(1, frame.h + 1)
     )
-    res.check(miss is None, "coefficients repeat with period 2h", witness=miss)
+    res.expect("coefficients repeat with period 2h", "(i, j, m)", cases)
 
     def pairings():
         for i in datum.vertices():
@@ -253,8 +237,7 @@ def suite_ctilde(frame, **_):
                         want = ei * ej * frame.euler_form(bi, bj)
                         yield ((i, p), (j, s)), table.coeff(i, j, s - p + 1), want
 
-    miss = _first_miss("((i, p), (j, s))", pairings())
-    res.check(miss is None, "coefficients match signed Euler pairings", witness=miss)
+    res.expect("coefficients match signed Euler pairings", "((i, p), (j, s))", pairings())
     return res
 
 
@@ -269,10 +252,10 @@ def suite_tsystem(frame, **_):
         for r in range(1, frame.n_letters[i] + 1):
             s = frame.xi[i] - 2 * (r - 1)
             # The closed form is checked against the recursion.
-            miss = _first_miss(
-                "k", ((k, closed(frame, i, s, k), calc.kr_value(i, s, k)) for k in range(1, r + 1))
+            cases = (
+                (k, closed(frame, i, s, k), calc.kr_value(i, s, k)) for k in range(1, r + 1)
             )
-            res.check(miss is None, f"labels at ({i},{s})", witness=miss)
+            res.expect(f"labels at ({i},{s})", "k", cases)
     return res
 
 
@@ -299,10 +282,8 @@ def suite_flagminors(frame, count=10, seed=2024, **_):
     rng = random.Random(seed)
     calc = TorusMorphism(frame)
     table = standard_seed_minors(frame)
-    miss = _first_miss(
-        "t", ((t, table.value(t), calc.initial_value(t)) for t in range(1, frame.N + 1))
-    )
-    res.check(miss is None, "adapted word matches the torus morphism", witness=miss)
+    cases = ((t, table.value(t), calc.initial_value(t)) for t in range(1, frame.N + 1))
+    res.expect("adapted word matches the torus morphism", "t", cases)
     for trial in range(count):
         word = braid_shuffle(frame.datum, frame.base_word, 60, rng)
         miss = _first_drop(word, standard_seed_minors(frame, word).products)
@@ -336,8 +317,8 @@ def suite_schurweyl(frame, count=50, seed=2024, **_):
         predicted = dimension_ratio(n, exps)
         total = sum(i * m for (i, _), m in exps.items())
         got = factorial(total) * calc.monomial_value(mono).evaluate(ones)
-        miss = _first_miss("exponents", [(sorted(exps.items()), got, predicted)])
-        res.check(miss is None, f"exponents {sorted(exps.items())}", witness=miss)
+        key = sorted(exps.items())
+        res.expect(f"exponents {key}", "exponents", [(key, got, predicted)])
     return res
 
 
@@ -355,14 +336,13 @@ def suite_minpairs(frame, **_):
                     segment_d(n, p, sigma_d(n, n - 1, p)),
                     segment_d(n, q, sigma_d(n, n, p)),
                 )
-                miss = _first_miss("(p, q)", [((p, q), got, want)])
-                res.check(miss is None, f"pair of theta[{p},{q}]", witness=miss)
+                res.expect(f"pair of theta[{p},{q}]", "(p, q)", [((p, q), got, want)])
     rec = CuspidalRecursion(frame)
     if fam in ("A", "D"):
         for beta in frame.positive_roots:
             # The recursion gives None for a root it does not reach.
-            miss = _first_miss("root", [(beta, rec.value(beta), cuspidal_value(frame, beta))])
-            res.check(miss is None, f"recursion value at {beta}", witness=miss)
+            cases = [(beta, rec.value(beta), cuspidal_value(frame, beta))]
+            res.expect(f"recursion value at {beta}", "root", cases)
     else:
         good, bad = rec.coverage()
         res.lines.append(

@@ -354,6 +354,50 @@ def test_size_limits_refused_fast(capsys, argv, message):
     assert len(err.splitlines()) == 1
 
 
+# One argv per bounded argument, with the value to check last.
+LIMIT_ARGV = {
+    "rank": ["info", "--type", "A", "--rank"],
+    "mmax": ["ctilde", *SS, "1", "1"],
+    "window": ["seed", *SS, "--window"],
+    "tmax": ["verify", *SS, "--suite", "properties", "--tmax"],
+    "count": ["verify", "--type", "A", "--rank", "3", "--suite", "flagminors", "--count"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(LIMIT_ARGV))
+def test_every_limit_is_enforced(capsys, key):
+    # A key that no argv reaches would be checked by nothing.
+    assert set(LIMIT_ARGV) == set(cli.LIMITS)
+    least, most = cli.LIMITS[key]
+    for value in [most + 1] + ([] if least is None else [least - 1]):
+        code, out, err = run(capsys, [*LIMIT_ARGV[key], str(value)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {key} must be at ") and err.endswith(f"got {value}\n")
+        assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "suite, options, refused",
+    [
+        ("ctilde", ["--count", "5"], "count"),
+        ("minpairs", ["--tmax", "3"], "tmax"),
+        ("properties", ["--seed", "1"], "seed"),
+        ("flagminors", ["--count", "2", "--seed", "3"], None),
+        ("schurweyl", ["--count", "2", "--seed", "3"], None),
+        ("properties", ["--tmax", "3"], None),
+        ("periodicity", ["--tmax", "3"], None),
+    ],
+)
+def test_verify_refuses_options_its_suite_does_not_read(capsys, suite, options, refused):
+    argv = ["verify", "--type", "A", "--rank", "3", "--suite", suite, *options]
+    code, out, err = run(capsys, argv)
+    if refused:
+        assert code == 2 and out == ""
+        assert err == f"error: suite {suite} takes no --{refused}\n"
+    else:
+        assert code == 0 and err == "" and out and "FAIL" not in out
+
+
 @pytest.mark.parametrize("word", [["a", 2], "12", [1.5], [0, 1]])
 def test_dbar_weights_bad_letter_exit_two(capsys, tmp_path, word):
     path = tmp_path / "weights.json"
