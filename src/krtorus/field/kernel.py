@@ -42,7 +42,7 @@ primitive one, when it exists, has int coefficients.
 
 Every sum of products is formed in one place, ``poly_sum_div``, which
 also divides it exactly when given a divisor; ``poly_mul`` and
-``poly_div_exact`` are the plain loops.  One gate, ``_gate``, sends a
+``poly_div_exact`` are the plain loops.  One gate, ``gate``, sends a
 large sum of homogeneous int products, the shape of T-system residuals,
 through the same two loops on big integers (Kronecker substitution on a
 dense tail: Fateman, "Can you save time in multiplying polynomials by
@@ -359,18 +359,25 @@ def _bound(factors):
     return min(top * (total // s) for top, s in norms)
 
 
-def poly_sum_div(products, g=None):
+_ASK = object()
+
+
+def poly_sum_div(products, g=None, degree=_ASK):
     """The sum over ``products`` of the product of each list of (terms,
     exp >= 1) factors, divided exactly by the primitive int ``g`` unless g
     is None: the result, or None when g does not divide.  A sum to be
     divided must have int coefficients.
 
-    A sum that passes ``_gate`` is formed and divided on the big-integer
+    A sum that passes ``gate`` is formed and divided on the big-integer
     encoding.  Any other is folded with ``poly_mul`` and ``poly_add``; a
     sum equal to g gives 1 without a division, as do most mutation steps,
-    and ``_packed_div_exact`` divides the rest.
+    and ``_packed_div_exact`` divides the rest.  A caller that has asked
+    the gate already passes its answer as ``degree``, None or the
+    quotient's total degree, so that no sum is gated twice; the encoding
+    then divides by whatever homogeneous g the caller gives.
     """
-    degree = _gate(products, g)
+    if degree is _ASK:
+        degree = gate(products, g)
     if degree is not None:
         return _kron(products, g, degree)
     total = None
@@ -384,7 +391,7 @@ def poly_sum_div(products, g=None):
     return _packed_div_exact(total, g)
 
 
-def _gate(products, g):
+def gate(products, g=None):
     """Total degree of ``poly_sum_div``'s result if its sum goes on the
     encoding, else None.
 

@@ -10,28 +10,35 @@ input is normalized once, by ``RootContext.build``: positive-root forms
 are divided out, then the residuals are cancelled where one divides the
 other (the forms are irreducible, so the extracted multiset is unique
 and one cancel after the extraction does what one before it would).
-Which forms to try comes from one integer evaluation of the residual
-modulo a prime on each form's hyperplane: a nonzero value proves that
-the form does not divide, and costs one Horner pass, while a zero is
-only a hint, which the exact division ``kernel.poly_div_linear``
-certifies.  A residual of degree 1 is not screened: primitive with a
-positive leading coefficient, it is divisible by a root form only when
-it is that root, which one lookup in the root set decides.  Every sum is
-a sum of products, formed by ``RootContext.sum_of_products``: an
-exchange step (prod A + prod B) / D of the T-system or of a cluster
-mutation, a sum of values (``+``, ``sum_over``), a weight sum.  One pass
-per product (``_collect``) multiplies the units, sums the root exponents
-and meets each residual factor once, indexing it into one list for all
-products and counting its signed multiplicity; the products share the
-least exponent of each root and of each residual, and only the cofactors
-are expanded, by ``kernel.poly_form_product``.  D's residual cancels
-against a shared factor, or against a factor of one product after
-dividing every other product's residual product.  The factor lists,
-cofactor and residual powers, go to ``kernel.poly_sum_div``, which forms
-their sum and divides it by any other D: on big-integer encodings for a
-large step, on packed monomials otherwise.  ``build`` screens the
-quotient alone and multiplies the shared residuals, which hold no root
-form, in last.  Products, quotients and powers are formed in one pass by
+Which forms to try comes from the residual's slices: its values modulo a
+prime p along one line through a fixed point per variable, read at the
+point where each form's hyperplane meets the line.  A nonzero value
+proves that the form does not divide, while a zero is only a hint, which
+an exact division certifies.  A residual of degree 1 is not screened:
+primitive with a positive leading coefficient, it is divisible by a root
+form only when it is that root, which one lookup in the root set
+decides.  Every sum is a sum of products, formed by
+``RootContext.sum_of_products``: an exchange step (prod A + prod B) / D
+of the T-system or of a cluster mutation, a sum of values (``+``,
+``sum_over``), a weight sum.  One pass per product (``_collect``)
+multiplies the units, sums the root exponents and meets each residual
+factor once, indexing it into one list for all products and counting its
+signed multiplicity; the products share the least exponent of each root
+and of each residual, and only the cofactors are expanded, by
+``kernel.poly_form_product``.  D's residual cancels against a shared
+factor, or against a factor of one product after dividing every other
+product's residual product.  The factor lists, cofactor and residual
+powers, go to ``kernel.poly_sum_div``, which forms their sum and divides
+it by any other D: on big-integer encodings for a large step, on packed
+monomials otherwise.  ``build`` screens a small step's quotient.  A
+step on the encoding bounds each root's multiplicity b_r from the
+quotient's slices, which the homomorphism gives from its factors'
+slices, and divides the sum once by D * prod(r ^ b_r): a bound is never
+below the multiplicity, so a division that succeeds proves them equal and
+leaves no root form.  Values keep their residual's slices for the next
+such step.  ``build`` multiplies the shared residuals, which hold no
+root form, in last.
+Products, quotients and powers are formed in one pass by
 ``RootContext.product_over``, where the residuals of values meet and
 cancel.  No general multivariate gcd is ever needed, and equality is
 decided by subtraction.  How monomials are packed is the kernel's
@@ -42,6 +49,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import zip_longest
 from math import gcd, lcm
 from random import Random
 
@@ -149,6 +157,36 @@ def _vanishing_order(coeffs, s):
     return order
 
 
+def _mul(a, b):
+    """Product of two polynomials in t over F_p, as coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [c % _P for c in out]
+
+
+def _div(a, b):
+    """Quotient a / b of polynomials in t over F_p, or None unless both are
+    nonzero and b divides a."""
+    r = list(a)
+    while r and not r[-1]:
+        r.pop()
+    while b and not b[-1]:
+        b = b[:-1]
+    if not b or len(r) < len(b):
+        return None
+    db, inv = len(b) - 1, pow(b[-1], -1, _P)
+    q = [0] * (len(r) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = r[i + db] * inv % _P
+        if c:
+            for j in range(db):
+                r[i + j] = (r[i + j] - c * b[j]) % _P
+    return None if any(r[:db]) else q
+
+
 class RootContext:
     """Variable count plus the positive-root forms used for factoring."""
 
@@ -245,20 +283,18 @@ class RootContext:
     # -- normalization --------------------------------------------------
 
     def _screen(self, terms):
-        """(root, bound) for each positive root whose form may divide ``terms``.
+        """(root, bound) for each positive root whose form may divide
+        ``terms``: the bounds that its slices give."""
+        return self._bounds(self._slices(terms))
 
-        One pass over the terms evaluates each monomial at the screening
-        point mod p and groups the values by the exponent of each variable
-        a_j: that is the slice of the residual along a_j, as a polynomial in
-        t = a_j / x_j.  Every variable is the pivot of its simple root, so
-        every slice is kept.  A root r with pivot j can divide only if that
-        slice vanishes at s_r, where the line meets r = 0, and its
-        multiplicity is at most the order of vanishing there.  A nonzero
-        value proves that the form does not divide; a zero is only a hint.
-        So no root is filtered out beforehand: a residual that lacks one of
-        r's variables, or has a constant term, is no multiple of r, and
-        should its slice vanish at s_r mod p by chance, the exact division
-        refuses the hint.
+    def _slices(self, terms):
+        """One coefficient list mod p per variable a_j: ``terms`` on the
+        line through the screening point x along a_j, in t = a_j / x_j.
+
+        One pass evaluates each monomial at x mod p and groups the values
+        by each exponent.  Slicing is a ring homomorphism to F_p[t]: the
+        slices of a product, sum or exact quotient are the product, sum or
+        quotient of the slices.
         """
         slices = [{} for _ in range(self.n)]
         # One row of powers per coordinate of the point, up to the largest
@@ -277,24 +313,54 @@ class RootContext:
                     w = w * row[d] % _P
             for sl, d in zip(slices, e):
                 sl[d] = sl.get(d, 0) + w
-        coeffs = []
+        out = []
         for sl in slices:
             cs = [0] * (max(sl) + 1)
             for d, v in sl.items():
                 cs[d] = v % _P
-            coeffs.append(cs)
+            out.append(cs)
+        return out
+
+    def _bounds(self, slices):
+        """(root, bound) for each positive root whose form may divide the
+        polynomial with these slices.
+
+        A root r with pivot j can divide only if slice j vanishes at s_r,
+        where the line meets r = 0, and its multiplicity is at most the
+        order of vanishing there.  Every variable is the pivot of its simple
+        root, so every slice is read.  A nonzero value proves that the form
+        does not divide; a zero is only a hint.  So no root is filtered out
+        beforehand: a residual that lacks one of r's variables, or has a
+        constant term, is no multiple of r, and should its slice vanish at
+        s_r mod p by chance, the exact division refuses the hint.  A slice
+        that is zero mod p gives every root on its line its length less 1,
+        which is no less than the degree in a_j.
+        """
         out = []
         for r in self.roots:
-            bound = _vanishing_order(coeffs[self._pivot[r]], self._meet[r])
+            bound = _vanishing_order(slices[self._pivot[r]], self._meet[r])
             if bound:
                 out.append((r, bound))
+        return out
+
+    def _form_slices(self, pairs, scale=1):
+        """The slices of scale * prod(root ^ e) over (root, e >= 0) pairs:
+        along a_k, a root r is r(x) - r_k x_k + r_k x_k t."""
+        out = [[scale % _P] for _ in range(self.n)]
+        for r, e in pairs:
+            if e > 0:
+                at = sum(c * x for c, x in zip(r, self._point))
+                for k, x in enumerate(self._point):
+                    line = [(at - r[k] * x) % _P, r[k] * x % _P]
+                    for _ in range(e):
+                        out[k] = _mul(out[k], line)
         return out
 
     def _extract(self, terms, fac, sign):
         """Divide out every root form from primitive int term dict ``terms``.
 
         Updates ``fac`` with ``sign`` * multiplicity per extracted form and
-        returns the residual.  Each form ``_screen`` keeps is tried at most
+        returns the residual.  Each form ``_screen`` bounds is tried at most
         its bound times, stopping at the first failed division, and every
         factor is certified by that exact division.  The bound is never
         below the multiplicity: if r^m divides P, then P on the screen's
@@ -331,7 +397,7 @@ class RootContext:
                 terms = q
         return terms
 
-    def build(self, unit, fac, num, den, free=None) -> "RootRational":
+    def build(self, unit, fac, num, den, free=None, slices=None) -> "RootRational":
         """Normalize raw parts into a canonical RootRational.
 
         Root forms are divided out of each side first, then the residuals
@@ -344,6 +410,11 @@ class RootContext:
         covers residuals that only root factors kept apart, as in a user
         fraction (a1+a2)*p / (a1*p).  Exchange steps come here already
         divided by their divisor (``sum_of_products``).
+
+        ``slices``, when given, are those of a ``num`` that holds no root
+        form: it is not screened, and the value keeps its residual's slices,
+        divided by the content, for later steps add and multiply them.  A
+        cancel or ``free`` that changes the residual drops them.
 
         ``free`` is an optional further factor of the numerator that holds
         no root form and is primitive with a positive leading term, such as
@@ -377,16 +448,25 @@ class RootContext:
         fac = dict(fac)
         if den != one:
             den = self._extract(den, fac, -1)
-        if num != one:
-            num = self._extract(num, fac, +1)
+        if slices is None:
+            if num != one:
+                num = self._extract(num, fac, +1)
+        elif cn.numerator % _P:
+            scale = cn.denominator * pow(cn.numerator, -1, _P) % _P
+            slices = [[c * scale % _P for c in line] for line in slices]
+        else:
+            slices = None
         fac = {r: e for r, e in fac.items() if e}
+        kept = num
         if num != one and den != one:
             num, den = self._cancel_residuals(num, den)
         if free is not None:
             num = kernel.poly_mul(num, free)
             if den != one:
                 num, den = self._cancel_residuals(num, den)
-        return RootRational(self, unit, fac, num, den)
+        if num is not kept:
+            slices = None
+        return RootRational(self, unit, fac, num, den, slices)
 
     def sum_over(self, values, divisor=None) -> "RootRational":
         """(sum of ``values``) / ``divisor``: one product per value."""
@@ -457,15 +537,26 @@ class RootContext:
         divide is formed again and goes to ``build`` over D.  The divisor's
         residual denominator joins the root-free factor.  A lone (value, 1)
         over no divisor is the value itself.
+
+        A step that the kernel's gate, asked once, sends to the encoding
+        finds its root factors before its quotient Q exists: Q's slices
+        (``_quotient_slices``) give bounds b_r >= the multiplicities, and
+        the sum is divided once by D * prod(r ^ b_r).  If that succeeds,
+        each r ^ b_r divides Q, so the bounds are the multiplicities and
+        ``build`` takes the quotient unscreened.  A zero slice mod p or a
+        division that refuses, in F_p[t] or of the sum, leaves the step to
+        the screen.  Slices are carried on the values: slicing every
+        factor's terms at each step would cost more than the screen.
         """
         if divisor is not None and divisor.is_zero():
             raise ZeroDivisionError("division by the zero function")
         one = self._one
-        units, facs, residuals, parts = [], [], [], []
+        units, facs, residuals, parts, alive = [], [], [], [], []
         for pairs in products:
             collected = self._collect(pairs, parts)
             if collected is None:
                 continue
+            alive.append(pairs)
             live, (unit, fac, entries) = pairs, collected
             units.append(unit)
             facs.append(fac)
@@ -476,12 +567,13 @@ class RootContext:
             return live[0][0]
         shared, cofactors = _least(facs)
         common, excess = _least(residuals) if parts else ({}, residuals)
-        sden = one if divisor is None else divisor.num
+        sden = cut = one if divisor is None else divisor.num
         k = _index(parts, sden)  # an index no product holds if none holds D
         holder = next((own for own in excess if own.get(k, 0) > 0), None)
+        owns = excess
         if common.get(k, 0) > 0:
             common[k] -= 1
-            sden = one
+            sden = cut = one
         elif holder is not None:
             others = [own for own in excess if own is not holder]
             quotients = []
@@ -489,15 +581,16 @@ class RootContext:
                 residual = _power_product([(parts[j], m) for j, m in own.items()], one)
                 quotients.append(kernel.poly_div_exact(residual, sden))
             if None not in quotients:
+                owns = [dict(own) for own in excess]
                 for own, quotient in zip(others, quotients):
                     own.clear()
                     own[_index(parts, quotient)] = 1
                 holder[k] -= 1
                 sden = one
         q = lcm(*(unit.denominator for unit in units))
+        scales = [unit.numerator if q == 1 else int(unit * q) for unit in units]
         lists = []
-        for unit, cof, own in zip(units, cofactors, excess):
-            scale = unit.numerator if q == 1 else int(unit * q)
+        for scale, cof, own in zip(scales, cofactors, excess):
             cofactor = kernel.poly_form_product(self.n, cof.items(), scale)
             lists.append([(cofactor, 1), *((parts[j], m) for j, m in own.items() if m)])
         tops = [(parts[j], m) for j, m in common.items() if m > 0]
@@ -511,11 +604,59 @@ class RootContext:
                 tops.append((divisor.den, 1))
         free = _power_product(tops, None)
         den = _power_product([(parts[j], -m) for j, m in common.items() if m < 0], one)
-        quotient = kernel.poly_sum_div(lists, None if sden == one else sden)
+        g = None if sden == one else sden
+        degree = kernel.gate(lists, g)
+        if degree is not None:
+            summands = zip(scales, cofactors, owns)
+            slices = self._quotient_slices(alive, divisor, parts, summands, cut)
+            if slices is not None:
+                bounds = self._bounds(slices)
+                slices = [_div(s, f) for s, f in zip(slices, self._form_slices(bounds))]
+            if slices is not None and None not in slices:
+                bounded = kernel.poly_mul(kernel.poly_form_product(self.n, bounds), sden)
+                quotient = kernel.poly_sum_div(
+                    lists, None if bounded == one else bounded, degree - sum(b for _, b in bounds)
+                )
+                if quotient is not None:
+                    for r, b in bounds:
+                        shared[r] = shared.get(r, 0) + b
+                    return self.build(inv, shared, quotient, den, free, slices)
+        quotient = kernel.poly_sum_div(lists, g, degree)
         if quotient is None:  # D does not divide the sum
             snum = kernel.poly_sum_div(lists)
             return self.build(inv, shared, snum, kernel.poly_mul(den, sden), free)
         return self.build(inv, shared, quotient, den, free)
+
+    def _quotient_slices(self, products, divisor, parts, summands, cut):
+        """Slices of (sum over (scale, cofactor, own) ``summands`` of
+        scale * prod(root ^ e) * prod(parts[j] ^ m)) / ``cut``, or None when
+        one is zero mod p or cut's does not divide.  A residual's slices
+        are those kept on its value, made from its terms when missing.
+        """
+        owners = {id(v.num): v for pairs in products for v, _ in pairs}
+        if divisor is not None:
+            owners[id(divisor.num)] = divisor
+
+        def sliced(terms):
+            value = owners.get(id(terms))
+            if value is None:
+                return self._slices(terms)
+            if value.slices is None:
+                value.slices = self._slices(value.num)
+            return value.slices
+
+        total = [[] for _ in range(self.n)]
+        for scale, cof, own in summands:
+            out = self._form_slices(cof.items(), scale)
+            for j, m in own.items():
+                factor = sliced(parts[j])
+                for _ in range(m):
+                    out = list(map(_mul, out, factor))
+            total = [[x + y for x, y in zip_longest(a, b, fillvalue=0)] for a, b in zip(total, out)]
+        total = [[c % _P for c in line] for line in total]
+        if cut != self._one:
+            total = list(map(_div, total, sliced(cut)))
+        return None if None in total or not all(map(any, total)) else total
 
     def product_over(self, pairs) -> "RootRational":
         """prod(value ^ exp) over (value, exp) pairs with int exponents.
@@ -594,14 +735,15 @@ class RootContext:
 class RootRational:
     """Immutable element of the rational-function field; always normalized."""
 
-    __slots__ = ("ctx", "unit", "fac", "num", "den")
+    __slots__ = ("ctx", "unit", "fac", "num", "den", "slices")
 
-    def __init__(self, ctx, unit, fac, num, den):
+    def __init__(self, ctx, unit, fac, num, den, slices=None):
         self.ctx = ctx
         self.unit = unit
         self.fac = fac
         self.num = num
         self.den = den
+        self.slices = slices  # of num, when a step has needed them
 
     # -- predicates and views -------------------------------------------
 

@@ -533,9 +533,9 @@ def test_weight_sum_size_bounds_what_is_expanded(datum, length, count, seed):
     seen = []
     build = RootContext.build
 
-    def spy(self, unit, fac, num, den, free=None):
+    def spy(self, unit, fac, num, den, free=None, slices=None):
         seen.append((num, den))
-        return build(self, unit, fac, num, den, free)
+        return build(self, unit, fac, num, den, free, slices)
 
     RootContext.build = spy
     try:

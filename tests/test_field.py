@@ -3,7 +3,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, zip_longest
 from unittest import mock
 
 import pytest
@@ -15,7 +15,7 @@ from krtorus.cluster import initial_seed, mutate
 from krtorus.errors import InvalidInputError
 from krtorus.field import MultiPoly, kernel, rational
 from krtorus.field.poly import integral_primitive
-from krtorus.field.rational import RootContext
+from krtorus.field.rational import RootContext, RootRational
 from krtorus.suites import run_suite
 from krtorus.torusmap import TorusMorphism
 
@@ -242,7 +242,7 @@ KRON_MUL_DEGREES = {3: (7, 50), 4: (4, 17), 5: (3, 11), 6: (3, 8)}
 
 
 def on_kron_path(a, b):
-    return kernel._gate([[(a, 1), (b, 1)]], None) is not None
+    return kernel.gate([[(a, 1), (b, 1)]], None) is not None
 
 
 @given(
@@ -314,7 +314,7 @@ def test_kronecker_div_exact_matches_packed(n, mode, seed):
     g = dense(rnd, n, dg, 0.6, KRON_COEFFS[mode])
     g[min(g)] = 1  # primitive
     p = kernel._packed_mul(q, g)
-    assume(len(p) >= kernel._DIV_MIN_TERMS and kernel._gate([[(p, 1)]], g) is not None)
+    assume(len(p) >= kernel._DIV_MIN_TERMS and kernel.gate([[(p, 1)]], g) is not None)
     m = {min(p): 1}
     with mock.patch.object(kernel, "_kron", wraps=kernel._kron) as spy:
         assert kernel.poly_sum_div([[(p, 1)]], g) == q
@@ -339,7 +339,7 @@ def test_kronecker_div_exact_matches_packed(n, mode, seed):
     # A term of another degree makes the dividend inhomogeneous, which
     # the packed path divides (and refuses).
     inhomogeneous = kernel.poly_add(p, {(0,) * n: 1})
-    assert kernel._gate([[(inhomogeneous, 1)]], g) is None
+    assert kernel.gate([[(inhomogeneous, 1)]], g) is None
     assert kernel.poly_sum_div([[(inhomogeneous, 1)]], g) is None
 
 
@@ -362,7 +362,7 @@ def kronecker_packed_calls(K):
     _packed_div_exact; its first call divides the one-byte encodings."""
     p, g, q = telescoping_division(K, 4)
     assert set(p.values()) == {1, -1}
-    assert kernel._gate([[(p, 1)]], g) is None
+    assert kernel.gate([[(p, 1)]], g) is None
     packed = kernel._packed_div_exact
     with mock.patch.object(kernel, "_packed_div_exact", wraps=packed) as spy:
         assert kernel._kron([[(p, 1)]], g, sum(next(iter(q)))) == q
@@ -416,7 +416,7 @@ def test_plain_loops_never_encode():
     assert on_kron_path(a, b)
     with mock.patch.object(kernel, "_groups", wraps=kernel._groups) as spy:
         p = kernel.poly_mul(a, b)
-        assert kernel._gate([[(p, 1)]], b) is not None
+        assert kernel.gate([[(p, 1)]], b) is not None
         assert kernel.poly_div_exact(p, b) == a
         assert kernel.poly_div_exact(kernel.poly_add(p, {min(p): 1}), b) is None
     assert not spy.called
@@ -1267,6 +1267,235 @@ def test_e6_exchange_steps_encode_before_they_decode(monkeypatch):
     assert set(decoded) == {0, 1}
     assert len(entries) == 9
     assert set(entries) == {kernel.poly_sum_div.__code__}
+
+
+def e6_benchmark_labels(frame):
+    """The E6 labels of the T-system benchmark: every fundamental label
+    down to depth 9 below the top of vertex 1, in the order it asks them."""
+    top = frame.xi[1]
+    labels = [(i, p) for i in frame.xi for p in range(frame.xi[i], top - 10, -2)]
+    return sorted(labels, key=lambda ip: (-ip[1], ip[0]))
+
+
+def trimmed(slices):
+    """Slices as polynomials in t: trailing zero coefficients dropped."""
+    out = []
+    for line in slices:
+        line = list(line)
+        while line and not line[-1]:
+            line.pop()
+        out.append(line)
+    return out
+
+
+@given(kind=st.sampled_from([("A", 3), ("D", 4), ("E", 6)]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_slices_are_a_ring_homomorphism(kind, data):
+    # The slices of a product, a sum, an exact quotient by a residual and
+    # a quotient by a root form are the product, the sum and the quotients
+    # of the slices in F_p[t]; a root product's slices are those of its
+    # linear forms on each line.
+    ctx = screen_context(*kind)
+    p = rational._P
+    a, b = (
+        integral_primitive(data.draw(poly_dicts(ctx.n, max_exp=2, min_size=1)))[0]
+        for _ in range(2)
+    )
+    sa, sb = ctx._slices(a), ctx._slices(b)
+    ab = kernel.poly_mul(a, b)
+    assert trimmed(ctx._slices(ab)) == trimmed(map(rational._mul, sa, sb))
+    total = kernel.poly_add(a, b)
+    if total:
+        summed = [[(x + y) % p for x, y in zip_longest(u, v, fillvalue=0)] for u, v in zip(sa, sb)]
+        assert trimmed(ctx._slices(total)) == trimmed(summed)
+    assert trimmed(map(rational._div, ctx._slices(ab), sb)) == trimmed(sa)
+    root = data.draw(st.sampled_from(ctx.roots))
+    form = MultiPoly.linear_form(root).terms
+    lines = ctx._form_slices([(root, 1)])
+    assert trimmed(lines) == trimmed(ctx._slices(form))
+    got = map(rational._div, ctx._slices(kernel.poly_mul(a, form)), lines)
+    assert trimmed(got) == trimmed(sa)
+    forms = data.draw(root_multisets(ctx.roots, 0, 3))
+    scale = data.draw(st.sampled_from([1, -2, 3]))
+    want = ctx._slices(kernel.poly_form_product(ctx.n, forms.items(), scale))
+    assert trimmed(ctx._form_slices(forms.items(), scale)) == trimmed(want)
+
+
+def test_slice_division_refuses():
+    p = rational._P
+    # (t + 1)(t + 2) over t + 1, over t + 3 (a remainder), over zero.
+    assert rational._div([2, 3, 1], [1, 1]) == [2, 1]
+    assert rational._div([2, 3, 1], [3, 1]) is None
+    assert rational._div([2, 3, 1], [0, 0]) is None
+    assert rational._div([0, 0], [1, 1]) is None
+    assert rational._div([1, p - 1], [1]) == [1, p - 1]
+
+
+def test_carried_slices_are_exact(monkeypatch):
+    # A value that a large step makes keeps its residual's slices, and a
+    # value that a large step reads gets them from its terms: either way
+    # they must be the residual's slices exactly, not up to a scalar, as
+    # later steps multiply and add them.
+    carried = []
+    build = RootContext.build
+
+    def recorded_build(self, *args):
+        value = build(self, *args)
+        if len(args) > 5 and args[5] is not None:
+            carried.append(value)
+        return value
+
+    monkeypatch.setattr(RootContext, "build", recorded_build)
+    e6 = TorusMorphism(build_frame("E", 6))
+    for i, p in e6_benchmark_labels(e6.frame):
+        e6.kr_value(i, p, 1)
+    # The D5 labels of the window and two levels below it.
+    frame = build_frame("D", 5)
+    d5 = TorusMorphism(frame)
+    for i in frame.datum.vertices():
+        for r in range(1, frame.n_letters[i] + 3):
+            for k in range(1, r + 1):
+                d5.kr_value(i, frame.xi[i] - 2 * (r - 1), k)
+    assert carried and all(v.slices is not None for v in carried)
+    kept = [v for calc in (e6, d5) for v in calc._kr_cache.values() if v.slices is not None]
+    assert len(kept) > len(carried)
+    for value in kept:
+        assert value.slices == value.ctx._slices(value.num)
+
+
+def solve_benchmark_labels():
+    """The memo of a fresh E6 calculator after the benchmark's labels."""
+    calc = TorusMorphism(build_frame("E", 6))
+    for i, p in e6_benchmark_labels(calc.frame):
+        calc.kr_value(i, p, 1)
+    return {key: parts(value) for key, value in calc._kr_cache.items()}
+
+
+def test_encoded_steps_match_the_screening_route(monkeypatch):
+    # Each step that the gate sends to the encoding gives the same parts
+    # when its quotient is found first and screened after, the route that
+    # a _quotient_slices finding nothing forces.
+    encoded = []
+    gate, sum_of_products = kernel.gate, RootContext.sum_of_products
+    quotient_slices = RootContext._quotient_slices
+
+    def checked(self, products, divisor=None):
+        products = [list(pairs) for pairs in products]
+        answers = []
+
+        def asked(*args):
+            answers.append(gate(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(kernel, "gate", asked)
+        got = sum_of_products(self, products, divisor)
+        monkeypatch.setattr(kernel, "gate", gate)
+        if answers[0] is not None:
+            monkeypatch.setattr(RootContext, "_quotient_slices", lambda *args: None)
+            want = sum_of_products(self, products, divisor)
+            monkeypatch.setattr(RootContext, "_quotient_slices", quotient_slices)
+            assert parts(got) == parts(want)
+            encoded.append(got)
+        return got
+
+    monkeypatch.setattr(RootContext, "sum_of_products", checked)
+    solve_benchmark_labels()
+    assert len(encoded) == 9
+
+
+@pytest.mark.parametrize("refused", ["slice division", "encoded division"])
+def test_one_bound_too_many_takes_the_screening_route(refused, monkeypatch):
+    # A bound above the multiplicity makes the division by D * prod(r^b)
+    # refuse: in F_p[t] already, or, with a slice division that never
+    # refuses, on the encoding.  Either way the step takes the screening
+    # route, and every value keeps its parts.
+    want = solve_benchmark_labels()
+    bounds, div, poly_sum_div = RootContext._bounds, rational._div, kernel.poly_sum_div
+    refusals, carried = [], []
+
+    def one_too_many(self, slices):
+        out = bounds(self, slices)
+        return [(out[0][0], out[0][1] + 1), *out[1:]] if out else [(self.roots[0], 1)]
+
+    def never_refuses(a, b):
+        q = div(a, b)
+        return [1] if q is None else q
+
+    def recorded_sum_div(products, g=None, degree=kernel._ASK):
+        q = poly_sum_div(products, g, degree)
+        if degree is not kernel._ASK and degree is not None and q is None:
+            refusals.append(g)
+        return q
+
+    build = RootContext.build
+
+    def recorded_build(self, *args):
+        if len(args) > 5 and args[5] is not None:
+            carried.append(args)
+        return build(self, *args)
+
+    monkeypatch.setattr(RootContext, "_bounds", one_too_many)
+    monkeypatch.setattr(kernel, "poly_sum_div", recorded_sum_div)
+    monkeypatch.setattr(RootContext, "build", recorded_build)
+    if refused == "encoded division":
+        monkeypatch.setattr(rational, "_div", never_refuses)
+    assert solve_benchmark_labels() == want
+    assert carried == []
+    assert len(refusals) == (9 if refused == "encoded division" else 0)
+
+
+def test_divisor_slice_zero_mod_p_takes_the_screening_route(monkeypatch):
+    # A divisor whose slice on one line is zero mod p gives the quotient
+    # no slices: the step takes the screening route with the same parts.
+    want = solve_benchmark_labels()
+    sum_of_products, build = RootContext.sum_of_products, RootContext.build
+    carried = []
+
+    def zero_line(self, products, divisor=None):
+        if divisor is not None and not divisor.is_factored():
+            lines = self._slices(divisor.num)
+            lines[0] = [0] * len(lines[0])
+            divisor = RootRational(
+                self, divisor.unit, divisor.fac, divisor.num, divisor.den, lines
+            )
+        return sum_of_products(self, products, divisor)
+
+    def recorded_build(self, *args):
+        if len(args) > 5 and args[5] is not None:
+            carried.append(args)
+        return build(self, *args)
+
+    monkeypatch.setattr(RootContext, "sum_of_products", zero_line)
+    monkeypatch.setattr(RootContext, "build", recorded_build)
+    assert solve_benchmark_labels() == want
+    assert carried == []
+
+
+def test_encoded_steps_screen_nothing(monkeypatch):
+    # The large steps of E6 (3,-8) divide their root factors out on the
+    # encoding: no screen and no division by one root form follows.
+    steps = []
+    sum_of_products = RootContext.sum_of_products
+
+    def recorded_sum(self, *args):
+        steps.append(set())
+        return sum_of_products(self, *args)
+
+    def noting(name, fn):
+        def wrapped(*args):
+            steps[-1].add(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(RootContext, "sum_of_products", recorded_sum)
+    monkeypatch.setattr(RootContext, "_screen", noting("_screen", RootContext._screen))
+    for name in ("_kron", "poly_div_linear"):
+        monkeypatch.setattr(kernel, name, noting(name, getattr(kernel, name)))
+    e6 = TorusMorphism(build_frame("E", 6))
+    assert len(e6.kr_value(3, -8, 1).num) > 1000
+    encoded = [names for names in steps if "_kron" in names]
+    assert encoded and all(names == {"_kron"} for names in encoded)
+    assert any("_screen" in names for names in steps)
 
 
 # -- exchange steps ----------------------------------------------------------
