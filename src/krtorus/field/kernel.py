@@ -80,7 +80,11 @@ bounded by the sum of its products' bounds.  A quotient is certified by
 the same bound with max|q| and sum|q|, plus non-negative decoded
 exponents and tail slots of q*g below the stride; a quotient is never
 returned uncertified: when that check fails, the dividend is decoded and
-divided again on the packed path.
+divided again on the packed path.  A divisor may be given factored, as a
+residual D times powers of linear forms (the root forms of an exchange
+step): each factor is encoded once and the encodings are multiplied, so
+the divisor is never multiplied out on packed monomials, and the slot
+and certificate bounds are taken over its factors.
 """
 
 import heapq
@@ -359,6 +363,27 @@ def _bound(factors):
     return min(top * (total // s) for top, s in norms)
 
 
+def _divisor(g):
+    """The (terms, exp) factors of a divisor: none for None, (g, 1) for a
+    term dict, and for a factored (D, forms) (D, 1), unless D is None,
+    and one per (coords, b >= 1) linear form."""
+    if g is None:
+        return []
+    if type(g) is not tuple:
+        return [(g, 1)]
+    d, forms = g
+    factors = [] if d is None else [(d, 1)]
+    for coords, b in forms:
+        n = len(coords)
+        factors.append(({tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coords) if c}, b))
+    return factors
+
+
+def _expand(factors):
+    """The product of the (terms, exp) ``factors`` on packed monomials."""
+    return reduce(poly_mul, [poly_pow(f, k) for f, k in factors])
+
+
 _ASK = object()
 
 
@@ -375,6 +400,13 @@ def poly_sum_div(products, g=None, degree=_ASK):
     the gate already passes its answer as ``degree``, None or the
     quotient's total degree, so that no sum is gated twice; the encoding
     then divides by whatever homogeneous g the caller gives.
+
+    The divisor may come factored, as a tuple (D, forms): a primitive int
+    D, or None for none, times each linear form coords ^ b over the
+    (coords, b >= 1) pairs ``forms``, the shape ``poly_form_product``
+    takes.  The encoding never multiplies it out (see ``_kron``); the
+    packed path does, as one product.  A factored divisor comes with the
+    caller's ``degree``, as the gate reads term dicts only.
     """
     if degree is _ASK:
         degree = gate(products, g)
@@ -382,10 +414,12 @@ def poly_sum_div(products, g=None, degree=_ASK):
         return _kron(products, g, degree)
     total = None
     for fs in products:
-        term = reduce(poly_mul, [poly_pow(f, k) for f, k in fs])
+        term = _expand(fs)
         total = term if total is None else poly_add(total, term)
-    if g is None or not total:
+    divisor = _divisor(g)
+    if not divisor or not total:
         return total
+    g = _expand(divisor)
     if total == g:
         return {(0,) * len(next(iter(g))): 1}
     return _packed_div_exact(total, g)
@@ -432,8 +466,9 @@ def gate(products, g=None):
 def _kron(products, g, degree):
     """The sum over ``products`` of the product of each list of (terms,
     exp) factors, all homogeneous int, divided exactly by the primitive
-    ``g`` unless g is None: the result, of total degree ``degree``, or
-    None when g does not divide.
+    ``g``, a term dict or factored (D, forms) as in ``poly_sum_div``,
+    unless g is None: the result, of total degree ``degree``, or None when
+    g does not divide.
 
     Each factor is encoded once, at the largest sum of tail exponents of a
     product plus 1 as stride.  If the sum is q*g, q has int coefficients
@@ -447,33 +482,47 @@ def _kron(products, g, degree):
     tail slots of q*g stay below the stride, and that q*g's coefficient
     bound fits a slot.  Failing it, the sum is decoded and divided on the
     packed path.
+
+    A divisor is taken as its factors: D and each linear form are encoded
+    once and their encodings multiplied, which is the encoding of their
+    product, since encoding is a ring homomorphism; only the certificate's
+    fallback multiplies the factors out.  The slots, q*g's tail degree
+    (the sum of the factors' tail degrees, each times its exponent) and
+    the certificate's bound are all read from the factors, and the bound
+    over a product's factors is no less than the bound over the product.
     """
     m = len(next(iter(products[0][0][0]))) - 3
     stride = max(sum(max(e[m + 1] for e in f) * k for f, k in fs) for fs in products) + 1
     top = sum(map(_bound, products))
-    if g is None:
+    divisor = _divisor(g)
+    if not divisor:
         nb = top.bit_length() // 8 + 1
     else:
-        tail_g = max(e[m + 1] for e in g)
-        nb = (max(top, max(map(abs, g.values()))).bit_length() + 4) // 8 + 1
+        tail_g = sum(max(e[m + 1] for e in f) * k for f, k in divisor)
+        nb = (max(top, _bound(divisor)).bit_length() + 4) // 8 + 1
     total = {}
     for fs in products:
-        encoded = [x for f, k in fs for x in [_groups(f, nb, stride)] * k]
-        total = poly_add(total, reduce(_packed_mul, encoded))
-    if g is None:
+        total = poly_add(total, _encode(fs, nb, stride))
+    if not divisor:
         return _ungroup(total, nb, stride, degree)
     if not total:
         return {}
     if degree < 0 or tail_g >= stride:
         return None  # q*g would exceed the sum's degree in variable n-1
-    q = _packed_div_exact(total, _groups(g, nb, stride))
+    q = _packed_div_exact(total, _encode(divisor, nb, stride))
     if q is None:
         return None
     terms = _ungroup(q, nb, stride, degree)
     if all(e[-1] >= 0 for e in terms) and max(e[m + 1] for e in terms) + tail_g < stride:
-        if _bound([(terms, 1), (g, 1)]).bit_length() // 8 + 1 <= nb:
+        if _bound([(terms, 1), *divisor]).bit_length() // 8 + 1 <= nb:
             return terms
+    g = _expand(divisor)
     return _packed_div_exact(_ungroup(total, nb, stride, degree + sum(next(iter(g)))), g)
+
+
+def _encode(factors, nb, stride):
+    """The product of the (terms, exp) ``factors``, each encoded once."""
+    return reduce(_packed_mul, [x for f, k in factors for x in [_groups(f, nb, stride)] * k])
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,9 @@ step on the encoding bounds each root's multiplicity b_r from the
 quotient's slices, which the homomorphism gives from its factors'
 slices, and divides the sum once by D * prod(r ^ b_r): a bound is never
 below the multiplicity, so a division that succeeds proves them equal and
-leaves no root form.  Values keep their residual's slices for the next
+leaves no root form.  That divisor is never expanded: the kernel takes D
+and the (root, b_r) pairs as they are and multiplies their encodings.
+Values keep their residual's slices for the next
 such step.  ``build`` multiplies the shared residuals, which hold no
 root form, in last.
 Products, quotients and powers are formed in one pass by
@@ -541,7 +543,8 @@ class RootContext:
         A step that the kernel's gate, asked once, sends to the encoding
         finds its root factors before its quotient Q exists: Q's slices
         (``_quotient_slices``) give bounds b_r >= the multiplicities, and
-        the sum is divided once by D * prod(r ^ b_r).  If that succeeds,
+        the sum is divided once by D * prod(r ^ b_r), which the kernel gets
+        factored, D and the bounds, and never expands.  If that succeeds,
         each r ^ b_r divides Q, so the bounds are the multiplicities and
         ``build`` takes the quotient unscreened.  A zero slice mod p or a
         division that refuses, in F_p[t] or of the sum, leaves the step to
@@ -613,10 +616,7 @@ class RootContext:
                 bounds = self._bounds(slices)
                 slices = [_div(s, f) for s, f in zip(slices, self._form_slices(bounds))]
             if slices is not None and None not in slices:
-                bounded = kernel.poly_mul(kernel.poly_form_product(self.n, bounds), sden)
-                quotient = kernel.poly_sum_div(
-                    lists, None if bounded == one else bounded, degree - sum(b for _, b in bounds)
-                )
+                quotient = kernel.poly_sum_div(lists, (g, bounds), degree - sum(b for _, b in bounds))
                 if quotient is not None:
                     for r, b in bounds:
                         shared[r] = shared.get(r, 0) + b

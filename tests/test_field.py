@@ -532,6 +532,76 @@ def test_encoded_sum_division_hands_over_to_packed_path():
             assert spy.call_args_list[1].args == (p, g)
 
 
+def linear_terms(coords):
+    """The linear form ``coords`` as a term dict."""
+    n = len(coords)
+    return {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coords) if c}
+
+
+@given(
+    n=st.integers(3, 6),
+    d_degree=st.sampled_from([None, 1, 2]),
+    forms=st.lists(st.tuples(st.integers(0, 2**32), st.integers(1, 3)), min_size=1, max_size=3),
+    mode=st.sampled_from(sorted(KRON_COEFFS)),
+    divisible=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@example(n=4, d_degree=None, forms=[(1, 2)], mode="small", divisible=True, seed=3)
+@example(n=3, d_degree=2, forms=[(5, 3), (6, 1)], mode="wide", divisible=False, seed=8)
+@settings(max_examples=40, deadline=None)
+def test_factored_divisor_matches_expanded_division(n, d_degree, forms, mode, divisible, seed):
+    # A divisor given as D (or no D) times linear forms to exponents 1-3,
+    # on the big-integer encoding (the caller's degree) and on packed
+    # monomials (degree None), against _packed_div_exact by the expanded
+    # divisor.  The dividend is q times the divisor, split into two
+    # products, plus a monomial of its degree when not ``divisible``,
+    # which no divisor of two or more terms divides.
+    rnd = random.Random(seed)
+    coeff = KRON_COEFFS[mode]
+    pairs = []
+    for form_seed, b in forms:
+        coords = [random.Random(form_seed).randint(0, 2) for _ in range(n)]
+        coords[form_seed % n] = 1  # primitive
+        pairs.append((tuple(coords), b))
+    d = None
+    if d_degree is not None:
+        d = dense(rnd, n, d_degree, 0.7, coeff) or {(d_degree,) + (0,) * (n - 1): 1}
+        d[min(d)] = 1  # primitive
+    g = {(0,) * n: 1} if d is None else d
+    for coords, b in pairs:
+        for _ in range(b):
+            g = tuple_product(g, linear_terms(coords))
+    assume(len(g) >= 2)
+    q = dense(rnd, n, 2, 0.7, coeff) or {(2,) + (0,) * (n - 1): 1}
+    keys = sorted(q)
+    products = [[({e: q[e] for e in keys[::2]}, 1), (g, 1)]]
+    if keys[1::2]:
+        products.append([({e: q[e] for e in keys[1::2]}, 1), (g, 1)])
+    if not divisible:
+        products.append([({(2 + sum(next(iter(g))),) + (0,) * (n - 1): 1}, 1)])
+    want = kernel._packed_div_exact(fold_sum(products), g)
+    assert want == (q if divisible else None)
+    for degree in (2, None):
+        assert kernel.poly_sum_div(products, (d, pairs), degree) == want
+
+
+def test_factored_divisor_hands_over_to_packed_path():
+    # The divisor x - z of telescoping_division, given as a linear form
+    # with no D: a quotient that fails its certificate is divided again on
+    # the packed path, on p and the divisor multiplied out; one that
+    # passes is returned from the encoding, the divisor never expanded.
+    for K, calls in ((50, 1), (150, 2), (200, 2)):
+        p, g, q = telescoping_division(K, 4)
+        packed = kernel._packed_div_exact
+        with mock.patch.object(kernel, "_packed_div_exact", wraps=packed) as spy, \
+                mock.patch.object(kernel, "_expand", wraps=kernel._expand) as expand:
+            got = kernel.poly_sum_div([[(p, 1)]], (None, [((0, 1, 0, -1), 1)]), sum(next(iter(q))))
+        assert got == q
+        assert spy.call_count == calls == expand.call_count + 1
+        if calls == 2:
+            assert spy.call_args_list[1].args == (p, g)
+
+
 @pytest.mark.parametrize("nb", range(1, 18))
 def test_codec_round_trips_at_every_slot_width(nb):
     # Coefficients at +-(2^(8nb-1) - 1), the widest a slot of nb bytes
@@ -1496,6 +1566,37 @@ def test_encoded_steps_screen_nothing(monkeypatch):
     encoded = [names for names in steps if "_kron" in names]
     assert encoded and all(names == {"_kron"} for names in encoded)
     assert any("_screen" in names for names in steps)
+
+
+def test_encoded_steps_keep_the_divisor_factored(monkeypatch):
+    # The large steps of E6 (3,-8) divide their sums by D * prod(r^b)
+    # with the divisor factored: no poly_mul call, and one
+    # poly_form_product call per product, for its cofactor, none for the
+    # divisor.
+    steps = []
+    sum_of_products = RootContext.sum_of_products
+
+    def recorded_sum(self, products, divisor=None):
+        products = [list(pairs) for pairs in products]
+        steps.append({"products": len(products)})
+        return sum_of_products(self, products, divisor)
+
+    def counted(name, fn):
+        def wrapped(*args):
+            steps[-1][name] = steps[-1].get(name, 0) + 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(RootContext, "sum_of_products", recorded_sum)
+    for name in ("_kron", "poly_mul", "poly_form_product"):
+        monkeypatch.setattr(kernel, name, counted(name, getattr(kernel, name)))
+    e6 = TorusMorphism(build_frame("E", 6))
+    assert len(e6.kr_value(3, -8, 1).num) > 1000
+    encoded = [step for step in steps if "_kron" in step]
+    assert encoded and any("poly_mul" in step for step in steps)
+    for step in encoded:
+        assert "poly_mul" not in step
+        assert step["poly_form_product"] == step["products"]
 
 
 # -- exchange steps ----------------------------------------------------------
