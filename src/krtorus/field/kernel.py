@@ -49,12 +49,12 @@ dense tail: Fateman, "Can you save time in multiplying polynomials by
 encoding them as integers?", 2010; Harvey, JSC 44, 2009).  Its largest
 product must have at least ``_MUL_MIN_PAIRS`` pairs of terms and at
 least ``_MUL_MIN_TERMS`` terms against its largest factor, or, for a sum
-divided by a divisor of two or more terms, at least ``_DIV_MIN_TERMS``
-terms; and it must be able to fill a quarter of the monomials of its
-degree.  Below these sizes, measured on the E6 and D8 T-system operands,
-the plain loops are as fast or faster.  On the encoding, ``_kron``
-encodes every factor once, forms the products, their sum and the
-quotient on the encodings, and decodes only the result.
+divided by a divisor whose factors' term counts multiply to at least 2,
+at least ``_DIV_MIN_TERMS`` terms; and it must be able to fill a quarter
+of the monomials of its degree.  Below these sizes, measured on the E6
+and D8 T-system operands, the plain loops are as fast or faster.  On the
+encoding, ``_kron`` encodes every factor once, forms the products, their
+sum and the quotient on the encodings, and decodes only the result.
 The terms are grouped by their first n-3 exponents (the head); a group's
 tail becomes one int with one signed slot of B = 8*nb bits for each
 (e[n-3], e[n-2]), at slot e[n-3]*stride + e[n-2], the last exponent
@@ -80,11 +80,16 @@ bounded by the sum of its products' bounds.  A quotient is certified by
 the same bound with max|q| and sum|q|, plus non-negative decoded
 exponents and tail slots of q*g below the stride; a quotient is never
 returned uncertified: when that check fails, the dividend is decoded and
-divided again on the packed path.  A divisor may be given factored, as a
-residual D times powers of linear forms (the root forms of an exchange
-step): each factor is encoded once and the encodings are multiplied, so
-the divisor is never multiplied out on packed monomials, and the slot
-and certificate bounds are taken over its factors.
+divided again on the packed path.
+
+A divisor has the shape of each product of the sum: a list of (terms,
+exp) factors, empty for no division.  An exchange step whose root
+factors are known passes a residual D and its root forms to their
+multiplicities this way.  On the encoding each factor is encoded once
+and the encodings are multiplied, so the divisor is never multiplied out
+on packed monomials, and the slot and certificate bounds are taken over
+its factors; the packed path multiplies it out with ``poly_product``, as
+it does each product.
 """
 
 import heapq
@@ -168,6 +173,13 @@ def poly_pow(a, e):
         if not e:
             return out
         a = poly_mul(a, a)
+
+
+def poly_product(factors, one=None):
+    """The product of terms ^ k over the (terms, k) ``factors`` with k > 0,
+    folded with ``poly_mul``; ``one`` when there are none."""
+    powers = [poly_pow(terms, k) for terms, k in factors if k]
+    return reduce(poly_mul, powers) if powers else one
 
 
 def poly_eval(terms, point):
@@ -340,16 +352,17 @@ def _packed_div_exact(p, g):
 # -- the big-integer (Kronecker) encoding ---------------------------------------
 
 
-def _degree(terms):
-    """Total degree of ``terms`` if it is homogeneous with int coefficients
-    in at least three variables, else None."""
-    degs = set(map(sum, terms))
-    if len(degs) != 1 or len(next(iter(terms))) < 3:
-        return None
-    for c in terms.values():
-        if type(c) is not int:
+def _degree(factors):
+    """Total degree of the product of the (terms, exp) ``factors`` if each
+    is homogeneous with int coefficients in at least three variables, else
+    None; 0 for no factors."""
+    total = 0
+    for terms, k in factors:
+        degs = set(map(sum, terms))
+        if len(degs) != 1 or len(next(iter(terms))) < 3 or set(map(type, terms.values())) != {int}:
             return None
-    return degs.pop()
+        total += degs.pop() * k
+    return total
 
 
 def _bound(factors):
@@ -363,138 +376,104 @@ def _bound(factors):
     return min(top * (total // s) for top, s in norms)
 
 
-def _divisor(g):
-    """The (terms, exp) factors of a divisor: none for None, (g, 1) for a
-    term dict, and for a factored (D, forms) (D, 1), unless D is None,
-    and one per (coords, b >= 1) linear form."""
-    if g is None:
-        return []
-    if type(g) is not tuple:
-        return [(g, 1)]
-    d, forms = g
-    factors = [] if d is None else [(d, 1)]
-    for coords, b in forms:
-        n = len(coords)
-        factors.append(({tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coords) if c}, b))
-    return factors
-
-
-def _expand(factors):
-    """The product of the (terms, exp) ``factors`` on packed monomials."""
-    return reduce(poly_mul, [poly_pow(f, k) for f, k in factors])
-
-
 _ASK = object()
 
 
-def poly_sum_div(products, g=None, degree=_ASK):
+def poly_sum_div(products, divisor=(), degree=_ASK):
     """The sum over ``products`` of the product of each list of (terms,
-    exp >= 1) factors, divided exactly by the primitive int ``g`` unless g
-    is None: the result, or None when g does not divide.  A sum to be
+    exp >= 1) factors, divided exactly by the product of the (terms, exp
+    >= 1) factors ``divisor``, each primitive int, unless there are none:
+    the result, or None when the divisor does not divide.  A sum to be
     divided must have int coefficients.
 
     A sum that passes ``gate`` is formed and divided on the big-integer
-    encoding.  Any other is folded with ``poly_mul`` and ``poly_add``; a
-    sum equal to g gives 1 without a division, as do most mutation steps,
-    and ``_packed_div_exact`` divides the rest.  A caller that has asked
-    the gate already passes its answer as ``degree``, None or the
+    encoding, which never multiplies the divisor out (see ``_kron``).  Any
+    other is folded with ``poly_product`` and ``poly_add``; a sum equal to
+    the divisor's product gives 1 without a division, as do most mutation
+    steps, and ``_packed_div_exact`` divides the rest.  A caller that has
+    asked the gate already passes its answer as ``degree``, None or the
     quotient's total degree, so that no sum is gated twice; the encoding
-    then divides by whatever homogeneous g the caller gives.
-
-    The divisor may come factored, as a tuple (D, forms): a primitive int
-    D, or None for none, times each linear form coords ^ b over the
-    (coords, b >= 1) pairs ``forms``, the shape ``poly_form_product``
-    takes.  The encoding never multiplies it out (see ``_kron``); the
-    packed path does, as one product.  A factored divisor comes with the
-    caller's ``degree``, as the gate reads term dicts only.
+    then divides by whatever homogeneous divisor the caller gives.
     """
     if degree is _ASK:
-        degree = gate(products, g)
+        degree = gate(products, divisor)
     if degree is not None:
-        return _kron(products, g, degree)
+        return _kron(products, divisor, degree)
     total = None
     for fs in products:
-        term = _expand(fs)
+        term = poly_product(fs)
         total = term if total is None else poly_add(total, term)
-    divisor = _divisor(g)
     if not divisor or not total:
         return total
-    g = _expand(divisor)
+    g = poly_product(divisor)
     if total == g:
         return {(0,) * len(next(iter(g))): 1}
     return _packed_div_exact(total, g)
 
 
-def gate(products, g=None):
+def gate(products, divisor=()):
     """Total degree of ``poly_sum_div``'s result if its sum goes on the
     encoding, else None.
 
     The size of a product, read against the thresholds in the module
-    docstring, is the product of its factors' term counts.  The density
-    test keeps the encoding small: a group with tail degree t spans at
-    most (t+1) * stride slots, at most stride times the number of
-    monomials it could hold, and sparse operands, with few pairs of terms
-    meeting in one monomial, are faster on the packed path anyway.  Every
-    factor and g must be homogeneous int polynomials in at least three
-    variables, one total degree for all products.
+    docstring, is the product of its factors' term counts; a divisor's
+    size is read the same way.  The density test keeps the encoding small:
+    a group with tail degree t spans at most (t+1) * stride slots, at most
+    stride times the number of monomials it could hold, and sparse
+    operands, with few pairs of terms meeting in one monomial, are faster
+    on the packed path anyway.  Every factor, the divisor's too, must be a
+    homogeneous int polynomial in at least three variables (``_degree``),
+    one total degree for all products.
     """
     size = 0
     for fs in products:
-        s = 1
-        for f, k in fs:
-            s *= len(f) ** k
+        s = prod(len(f) ** k for f, k in fs)
         if s > size:
             size, largest = s, fs
-    if g is None or len(g) < 2 or size < _DIV_MIN_TERMS:
+    if prod(len(f) ** k for f, k in divisor) < 2 or size < _DIV_MIN_TERMS:
         if size < _MUL_MIN_PAIRS or size // max(len(f) for f, _ in largest) < _MUL_MIN_TERMS:
             return None
-    degrees = set()
-    for fs in products:
-        ds = [_degree(f) for f, _ in fs]
-        if None in ds:
-            return None
-        degrees.add(sum(d * k for d, (_, k) in zip(ds, fs)))
-    degree, n = max(degrees), len(next(iter(products[0][0][0])))
-    if len(degrees) != 1 or 4 * size < comb(degree + n - 1, n - 1):
+    degrees = set(map(_degree, products))
+    if None in degrees or len(degrees) != 1:
         return None
-    if g is None:
-        return degree
-    dg = _degree(g)
+    degree, n = degrees.pop(), len(next(iter(products[0][0][0])))
+    if 4 * size < comb(degree + n - 1, n - 1):
+        return None
+    dg = _degree(divisor)
     return None if dg is None else degree - dg
 
 
-def _kron(products, g, degree):
+def _kron(products, divisor, degree):
     """The sum over ``products`` of the product of each list of (terms,
-    exp) factors, all homogeneous int, divided exactly by the primitive
-    ``g``, a term dict or factored (D, forms) as in ``poly_sum_div``,
-    unless g is None: the result, of total degree ``degree``, or None when
-    g does not divide.
+    exp) factors, all homogeneous int, divided exactly by the product of
+    the primitive (terms, exp) factors ``divisor`` unless there are none:
+    the result, of total degree ``degree``, or None when the divisor does
+    not divide.
 
     Each factor is encoded once, at the largest sum of tail exponents of a
-    product plus 1 as stride.  If the sum is q*g, q has int coefficients
-    (Gauss), so enc(sum) = enc(q)*enc(g) and every step of the packed
-    division of the groups is exact, with no quotient key negative or
-    above the sum's degree in a head variable; an inexact step or such a
-    key proves failure at any slot width, as encoding is a ring
-    homomorphism.  A quotient from exact steps is the true one when the
-    encoding is injective on the sum (so the slots are sized) and on q*g:
-    the certificate checks that q's exponents are non-negative, that the
-    tail slots of q*g stay below the stride, and that q*g's coefficient
+    product plus 1 as stride.  If the sum is q*g, g the divisor's product,
+    q has int coefficients (Gauss), so enc(sum) = enc(q)*enc(g) and every
+    step of the packed division of the groups is exact, with no quotient
+    key negative or above the sum's degree in a head variable; an inexact
+    step or such a key proves failure at any slot width, as encoding is a
+    ring homomorphism.  A quotient from exact steps is the true one when
+    the encoding is injective on the sum (so the slots are sized) and on
+    q*g: the certificate checks that q's exponents are non-negative, that
+    the tail slots of q*g stay below the stride, and that q*g's coefficient
     bound fits a slot.  Failing it, the sum is decoded and divided on the
     packed path.
 
-    A divisor is taken as its factors: D and each linear form are encoded
-    once and their encodings multiplied, which is the encoding of their
-    product, since encoding is a ring homomorphism; only the certificate's
-    fallback multiplies the factors out.  The slots, q*g's tail degree
-    (the sum of the factors' tail degrees, each times its exponent) and
-    the certificate's bound are all read from the factors, and the bound
-    over a product's factors is no less than the bound over the product.
+    The divisor is never multiplied out on the encoding: each of its
+    factors is encoded once and the encodings are multiplied, which is the
+    encoding of g, since encoding is a ring homomorphism; only the
+    certificate's fallback forms g.  The slots, q*g's tail degree (the sum
+    of the factors' tail degrees, each times its exponent) and the
+    certificate's bound are all read from the factors, and the bound over
+    every factor of a product is no less than the bound over the product.
     """
     m = len(next(iter(products[0][0][0]))) - 3
     stride = max(sum(max(e[m + 1] for e in f) * k for f, k in fs) for fs in products) + 1
     top = sum(map(_bound, products))
-    divisor = _divisor(g)
     if not divisor:
         nb = top.bit_length() // 8 + 1
     else:
@@ -516,7 +495,7 @@ def _kron(products, g, degree):
     if all(e[-1] >= 0 for e in terms) and max(e[m + 1] for e in terms) + tail_g < stride:
         if _bound([(terms, 1), *divisor]).bit_length() // 8 + 1 <= nb:
             return terms
-    g = _expand(divisor)
+    g = poly_product(divisor)
     return _packed_div_exact(_ungroup(total, nb, stride, degree + sum(next(iter(g)))), g)
 
 

@@ -29,17 +29,17 @@ and of each residual, and only the cofactors are expanded, by
 factor, or against a factor of one product after dividing every other
 product's residual product.  The factor lists, cofactor and residual
 powers, go to ``kernel.poly_sum_div``, which forms their sum and divides
-it by any other D: on big-integer encodings for a large step, on packed
-monomials otherwise.  ``build`` screens a small step's quotient.  A
-step on the encoding bounds each root's multiplicity b_r from the
-quotient's slices, which the homomorphism gives from its factors'
-slices, and divides the sum once by D * prod(r ^ b_r): a bound is never
-below the multiplicity, so a division that succeeds proves them equal and
-leaves no root form.  That divisor is never expanded: the kernel takes D
-and the (root, b_r) pairs as they are and multiplies their encodings.
-Values keep their residual's slices for the next
-such step.  ``build`` multiplies the shared residuals, which hold no
-root form, in last.
+it by any other D, given in the same shape, a list of (terms, exp)
+factors: on big-integer encodings for a large step, on packed monomials
+otherwise.  ``build`` screens a small step's quotient.  A step on the
+encoding bounds each root's multiplicity b_r from the quotient's slices,
+which the homomorphism gives from the slices of the factors that the
+kernel divides, and divides the sum once by D * prod(r ^ b_r): a bound
+is never below the multiplicity, so a division that succeeds proves them
+equal and leaves no root form.  That divisor is the factor list of D and
+each root form's terms to its bound, which the kernel never expands.
+Values keep their residual's slices for the next such step.  ``build``
+multiplies the shared residuals, which hold no root form, in last.
 Products, quotients and powers are formed in one pass by
 ``RootContext.product_over``, where the residuals of values meet and
 cancel.  No general multivariate gcd is ever needed, and equality is
@@ -50,7 +50,6 @@ business alone: this module calls only its public functions.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import zip_longest
 from math import gcd, lcm
 from random import Random
@@ -82,12 +81,6 @@ def form_str(coords) -> str:
         elif c:
             parts.append(f"{c}*a{k + 1}")
     return "+".join(parts) if parts else "0"
-
-
-def _power_product(pairs, one):
-    """Product of p ^ m over the [p, m, ...] entries with m > 0; ``one`` if none."""
-    powers = [kernel.poly_pow(p, m) for p, m, *_ in pairs if m]
-    return reduce(kernel.poly_mul, powers) if powers else one
 
 
 def _index(parts, part):
@@ -202,6 +195,7 @@ class RootContext:
         self.roots = tuple(sorted(roots, key=lambda r: (sum(r), r)))
         self.root_set = frozenset(self.roots)
         self._one = {(0,) * self.n: 1}
+        self._units = [tuple(int(j == i) for j in range(self.n)) for i in range(self.n)]
         self._pivot = {r: max(i for i, c in enumerate(r) if c) for r in self.roots}
         # Screening point x, and for each root r with pivot j the value
         # s = t / x_j, where a_j = t puts x on the hyperplane r = 0.  Scaling
@@ -534,22 +528,25 @@ class RootContext:
         divides the residual product of every other one, as it does for an
         exchange step whose sum D divides (D holds no root form).  The
         factor lists go to ``kernel.poly_sum_div``, which forms their sum
-        and divides it by any other D, on big-integer encodings for a large
-        step and on packed monomials otherwise; only a sum that D does not
-        divide is formed again and goes to ``build`` over D.  The divisor's
-        residual denominator joins the root-free factor.  A lone (value, 1)
-        over no divisor is the value itself.
+        and divides it by any other D, the factor list [(D, 1)] (none if D
+        cancelled), on big-integer encodings for a large step and on packed
+        monomials otherwise; only a sum that D does not divide is formed
+        again and goes to ``build`` over D.  The divisor's residual
+        denominator joins the root-free factor.  A lone (value, 1) over no
+        divisor is the value itself.
 
         A step that the kernel's gate, asked once, sends to the encoding
         finds its root factors before its quotient Q exists: Q's slices
-        (``_quotient_slices``) give bounds b_r >= the multiplicities, and
-        the sum is divided once by D * prod(r ^ b_r), which the kernel gets
-        factored, D and the bounds, and never expands.  If that succeeds,
-        each r ^ b_r divides Q, so the bounds are the multiplicities and
-        ``build`` takes the quotient unscreened.  A zero slice mod p or a
-        division that refuses, in F_p[t] or of the sum, leaves the step to
-        the screen.  Slices are carried on the values: slicing every
-        factor's terms at each step would cost more than the screen.
+        (``_quotient_slices``, read from what the kernel divides) give
+        bounds b_r >= the multiplicities, and the sum is divided once by D
+        * prod(r ^ b_r), which the kernel gets as one factor list, D's
+        factor and one (form terms, b_r) pair per bounded root, and never
+        expands.  If that succeeds, each r ^ b_r divides Q, so the bounds
+        are the multiplicities and ``build`` takes the quotient unscreened.
+        A zero slice mod p or a division that refuses, in F_p[t] or of the
+        sum, leaves the step to the screen.  Slices are carried on the
+        values: slicing every factor's terms at each step would cost more
+        than the screen.
         """
         if divisor is not None and divisor.is_zero():
             raise ZeroDivisionError("division by the zero function")
@@ -560,31 +557,29 @@ class RootContext:
             if collected is None:
                 continue
             alive.append(pairs)
-            live, (unit, fac, entries) = pairs, collected
+            unit, fac, entries = collected
             units.append(unit)
             facs.append(fac)
             residuals.append({j: e for j, (e, _) in entries.items() if e})
         if not units:
             return self.zero()
-        if divisor is None and len(units) == 1 and len(live) == 1 and live[0][1] == 1:
-            return live[0][0]
+        if divisor is None and len(units) == 1 and len(alive[-1]) == 1 and alive[-1][0][1] == 1:
+            return alive[-1][0][0]
         shared, cofactors = _least(facs)
         common, excess = _least(residuals) if parts else ({}, residuals)
-        sden = cut = one if divisor is None else divisor.num
+        sden = one if divisor is None else divisor.num
         k = _index(parts, sden)  # an index no product holds if none holds D
         holder = next((own for own in excess if own.get(k, 0) > 0), None)
-        owns = excess
         if common.get(k, 0) > 0:
             common[k] -= 1
-            sden = cut = one
+            sden = one
         elif holder is not None:
             others = [own for own in excess if own is not holder]
             quotients = []
             for own in others:
-                residual = _power_product([(parts[j], m) for j, m in own.items()], one)
+                residual = kernel.poly_product([(parts[j], m) for j, m in own.items()], one)
                 quotients.append(kernel.poly_div_exact(residual, sden))
             if None not in quotients:
-                owns = [dict(own) for own in excess]
                 for own, quotient in zip(others, quotients):
                     own.clear()
                     own[_index(parts, quotient)] = 1
@@ -605,33 +600,37 @@ class RootContext:
                 shared[r] = shared.get(r, 0) - e
             if divisor.den != one:
                 tops.append((divisor.den, 1))
-        free = _power_product(tops, None)
-        den = _power_product([(parts[j], -m) for j, m in common.items() if m < 0], one)
-        g = None if sden == one else sden
-        degree = kernel.gate(lists, g)
+        free = kernel.poly_product(tops)
+        den = kernel.poly_product([(parts[j], -m) for j, m in common.items() if m < 0], one)
+        by = [] if sden == one else [(sden, 1)]
+        degree = kernel.gate(lists, by)
         if degree is not None:
-            summands = zip(scales, cofactors, owns)
-            slices = self._quotient_slices(alive, divisor, parts, summands, cut)
+            summands = zip(scales, cofactors, excess)
+            slices = self._quotient_slices(alive, divisor, parts, summands, sden)
             if slices is not None:
                 bounds = self._bounds(slices)
                 slices = [_div(s, f) for s, f in zip(slices, self._form_slices(bounds))]
             if slices is not None and None not in slices:
-                quotient = kernel.poly_sum_div(lists, (g, bounds), degree - sum(b for _, b in bounds))
+                forms = [({self._units[i]: c for i, c in enumerate(r) if c}, b) for r, b in bounds]
+                dq = degree - sum(b for _, b in bounds)
+                quotient = kernel.poly_sum_div(lists, by + forms, dq)
                 if quotient is not None:
                     for r, b in bounds:
                         shared[r] = shared.get(r, 0) + b
                     return self.build(inv, shared, quotient, den, free, slices)
-        quotient = kernel.poly_sum_div(lists, g, degree)
+        quotient = kernel.poly_sum_div(lists, by, degree)
         if quotient is None:  # D does not divide the sum
             snum = kernel.poly_sum_div(lists)
             return self.build(inv, shared, snum, kernel.poly_mul(den, sden), free)
         return self.build(inv, shared, quotient, den, free)
 
-    def _quotient_slices(self, products, divisor, parts, summands, cut):
+    def _quotient_slices(self, products, divisor, parts, summands, sden):
         """Slices of (sum over (scale, cofactor, own) ``summands`` of
-        scale * prod(root ^ e) * prod(parts[j] ^ m)) / ``cut``, or None when
-        one is zero mod p or cut's does not divide.  A residual's slices
-        are those kept on its value, made from its terms when missing.
+        scale * prod(root ^ e) * prod(parts[j] ^ m)) / ``sden``, the sum and
+        the residual divisor that the kernel gets, or None when one is zero
+        mod p or sden's does not divide.  A residual's slices are those kept
+        on its value, made from its terms when missing; a residual that no
+        value holds, a quotient of a holder cancel, is sliced from its terms.
         """
         owners = {id(v.num): v for pairs in products for v, _ in pairs}
         if divisor is not None:
@@ -654,8 +653,8 @@ class RootContext:
                     out = list(map(_mul, out, factor))
             total = [[x + y for x, y in zip_longest(a, b, fillvalue=0)] for a, b in zip(total, out)]
         total = [[c % _P for c in line] for line in total]
-        if cut != self._one:
-            total = list(map(_div, total, sliced(cut)))
+        if sden != self._one:
+            total = list(map(_div, total, sliced(sden)))
         return None if None in total or not all(map(any, total)) else total
 
     def product_over(self, pairs) -> "RootRational":
@@ -704,7 +703,8 @@ class RootContext:
                             if q != self._one:
                                 side.append([q, m, None])
 
-        num, den = _power_product(tops, self._one), _power_product(bottoms, self._one)
+        num, den = ([(p, m) for p, m, _ in side] for side in (tops, bottoms))
+        num, den = kernel.poly_product(num, self._one), kernel.poly_product(den, self._one)
         if num is not self._one and den is not self._one:
             num, den = self._cancel_residuals(num, den)
         fac = {r: e for r, e in fac.items() if e}
@@ -718,22 +718,26 @@ class RootContext:
         engine values (sums of root products) have residual den 1 and a
         unique normal form, but a user fraction whose residuals share a
         non-root factor keeps it on both sides; it compares equal to its
-        reduced form (by subtraction) but may render differently.
+        reduced form (by subtraction) but may render differently.  The
+        callers pass two residuals other than 1.
         """
         if num == den:
             return dict(self._one), dict(self._one)
-        if den != self._one and num != self._one:
-            q = kernel.poly_div_exact(num, den)
-            if q is not None:
-                return q, dict(self._one)
-            q = kernel.poly_div_exact(den, num)
-            if q is not None:
-                return dict(self._one), q
+        q = kernel.poly_div_exact(num, den)
+        if q is not None:
+            return q, dict(self._one)
+        q = kernel.poly_div_exact(den, num)
+        if q is not None:
+            return dict(self._one), q
         return num, den
 
 
 class RootRational:
-    """Immutable element of the rational-function field; always normalized."""
+    """Element of the rational-function field; always normalized.
+
+    Immutable but for ``slices``, a cache of ``num``'s slices that the
+    large exchange steps fill on first read (``_quotient_slices``).
+    """
 
     __slots__ = ("ctx", "unit", "fac", "num", "den", "slices")
 

@@ -242,7 +242,7 @@ KRON_MUL_DEGREES = {3: (7, 50), 4: (4, 17), 5: (3, 11), 6: (3, 8)}
 
 
 def on_kron_path(a, b):
-    return kernel.gate([[(a, 1), (b, 1)]], None) is not None
+    return kernel.gate([[(a, 1), (b, 1)]]) is not None
 
 
 @given(
@@ -314,14 +314,14 @@ def test_kronecker_div_exact_matches_packed(n, mode, seed):
     g = dense(rnd, n, dg, 0.6, KRON_COEFFS[mode])
     g[min(g)] = 1  # primitive
     p = kernel._packed_mul(q, g)
-    assume(len(p) >= kernel._DIV_MIN_TERMS and kernel.gate([[(p, 1)]], g) is not None)
+    assume(len(p) >= kernel._DIV_MIN_TERMS and kernel.gate([[(p, 1)]], [(g, 1)]) is not None)
     m = {min(p): 1}
     with mock.patch.object(kernel, "_kron", wraps=kernel._kron) as spy:
-        assert kernel.poly_sum_div([[(p, 1)]], g) == q
+        assert kernel.poly_sum_div([[(p, 1)]], [(g, 1)]) == q
         # q*g + m for a monomial m of the same degree stays on the
         # big-integer path; it is not divisible (m = (q' - q)*g would need
         # g to be a monomial).
-        assert kernel.poly_sum_div([[(kernel.poly_add(p, m), 1)]], g) is None
+        assert kernel.poly_sum_div([[(kernel.poly_add(p, m), 1)]], [(g, 1)]) is None
         assert spy.call_count == 2
     assert kernel.poly_div_exact(p, g) == q
     assert kernel._packed_div_exact(kernel.poly_add(p, m), g) is None
@@ -332,15 +332,15 @@ def test_kronecker_div_exact_matches_packed(n, mode, seed):
     top = kernel.poly_add(p, {max(p): 1})
     assert kernel.poly_div_exact(top, g) is None
     with mock.patch.object(kernel, "divmod", create=True, wraps=divmod) as steps:
-        assert kernel._kron([[(top, 1)]], g, dq) is None
+        assert kernel._kron([[(top, 1)]], [(g, 1)], dq) is None
     lead_head = max(e[:n - 3] for e in g)
     if sum(e[:n - 3] == lead_head for e in g) >= 2:
         assert steps.call_count == 1
     # A term of another degree makes the dividend inhomogeneous, which
     # the packed path divides (and refuses).
     inhomogeneous = kernel.poly_add(p, {(0,) * n: 1})
-    assert kernel.gate([[(inhomogeneous, 1)]], g) is None
-    assert kernel.poly_sum_div([[(inhomogeneous, 1)]], g) is None
+    assert kernel.gate([[(inhomogeneous, 1)]], [(g, 1)]) is None
+    assert kernel.poly_sum_div([[(inhomogeneous, 1)]], [(g, 1)]) is None
 
 
 def telescoping_division(K, r):
@@ -362,10 +362,10 @@ def kronecker_packed_calls(K):
     _packed_div_exact; its first call divides the one-byte encodings."""
     p, g, q = telescoping_division(K, 4)
     assert set(p.values()) == {1, -1}
-    assert kernel.gate([[(p, 1)]], g) is None
+    assert kernel.gate([[(p, 1)]], [(g, 1)]) is None
     packed = kernel._packed_div_exact
     with mock.patch.object(kernel, "_packed_div_exact", wraps=packed) as spy:
-        assert kernel._kron([[(p, 1)]], g, sum(next(iter(q)))) == q
+        assert kernel._kron([[(p, 1)]], [(g, 1)], sum(next(iter(q)))) == q
     stride = max(e[2] for e in p) + 1
     encoded = (kernel._groups(p, 1, stride), kernel._groups(g, 1, stride))
     assert spy.call_args_list[0].args == encoded
@@ -402,7 +402,7 @@ def test_sparse_operands_stay_on_the_packed_path():
         product = kernel.poly_sum_div([[(a, 1), (b, 1)]])
         assert product == tuple_product(a, b)
         assert len(product) >= kernel._DIV_MIN_TERMS
-        assert kernel.poly_sum_div([[(product, 1)]], b) == a
+        assert kernel.poly_sum_div([[(product, 1)]], [(b, 1)]) == a
     assert not spy.called
 
 
@@ -416,7 +416,7 @@ def test_plain_loops_never_encode():
     assert on_kron_path(a, b)
     with mock.patch.object(kernel, "_groups", wraps=kernel._groups) as spy:
         p = kernel.poly_mul(a, b)
-        assert kernel.gate([[(p, 1)]], b) is not None
+        assert kernel.gate([[(p, 1)]], [(b, 1)]) is not None
         assert kernel.poly_div_exact(p, b) == a
         assert kernel.poly_div_exact(kernel.poly_add(p, {min(p): 1}), b) is None
     assert not spy.called
@@ -431,7 +431,7 @@ def test_gate_refuses_fraction_coefficients():
     b = dense(rnd, 4, 17, 0.55, KRON_COEFFS["small"])
     assert on_kron_path(a, b)
     a[min(a)] = Fraction(1, 3)
-    assert kernel._degree(a) is None and kernel._degree(b) == 17
+    assert kernel._degree([(a, 1)]) is None and kernel._degree([(b, 1)]) == 17
     assert not on_kron_path(a, b)
     with mock.patch.object(kernel, "_groups", wraps=kernel._groups) as spy:
         assert kernel.poly_sum_div([[(a, 1), (b, 1)]]) == kernel.poly_mul(a, b)
@@ -446,7 +446,7 @@ def test_encoded_division_early_returns():
     minus_p = {e: -c for e, c in p.items()}
     # A sum that cancels to zero is divisible, with quotient 0.
     products = [[(p, 1), (g, 1)], [(minus_p, 1), (g, 1)]]
-    assert kernel._kron(products, g, 4) == {} == kernel.poly_div_exact(fold_sum(products), g)
+    assert kernel._kron(products, [(g, 1)], 4) == {} == kernel.poly_div_exact(fold_sum(products), g)
     # The next two return None before any division is tried.  A nonzero
     # sum of lower degree than g (g's tail exponent 1 stays below the
     # stride 2, so the degree alone decides):
@@ -458,7 +458,7 @@ def test_encoded_division_early_returns():
     tall = {(0, 3, 0): 1, (1, 0, 2): -1, (2, 1, 0): 2}
     for total, divisor, degree in ((low, wide, -1), (flat, tall, 1)):
         with mock.patch.object(kernel, "_packed_div_exact") as divide:
-            assert kernel._kron([[(total, 1)]], divisor, degree) is None
+            assert kernel._kron([[(total, 1)]], [(divisor, 1)], degree) is None
         assert not divide.called
         assert kernel.poly_div_exact(total, divisor) is None
 
@@ -509,9 +509,9 @@ def test_encoded_sum_division_matches_folded_division(n, shape, mode, divisible,
         products.append([({(degree + sum(next(iter(g))),) + (0,) * (n - 1): 1}, 1)])
     want = kernel.poly_div_exact(fold_sum(products), g)
     assert (want is not None) == divisible
-    assert kernel._kron(products, g, degree) == want
+    assert kernel._kron(products, [(g, 1)], degree) == want
     # poly_sum_div folds a sum this small on the packed path, or encodes it.
-    assert kernel.poly_sum_div(products, g) == want
+    assert kernel.poly_sum_div(products, [(g, 1)]) == want
 
 
 def test_encoded_sum_division_hands_over_to_packed_path():
@@ -526,7 +526,7 @@ def test_encoded_sum_division_hands_over_to_packed_path():
         products = [[({e: p[e] for e in keys[::2]}, 1)], [({e: p[e] for e in keys[1::2]}, 1)]]
         packed = kernel._packed_div_exact
         with mock.patch.object(kernel, "_packed_div_exact", wraps=packed) as spy:
-            assert kernel._kron(products, g, sum(next(iter(q)))) == q
+            assert kernel._kron(products, [(g, 1)], sum(next(iter(q)))) == q
         assert spy.call_count == calls
         if calls == 2:
             assert spy.call_args_list[1].args == (p, g)
@@ -581,8 +581,10 @@ def test_factored_divisor_matches_expanded_division(n, d_degree, forms, mode, di
         products.append([({(2 + sum(next(iter(g))),) + (0,) * (n - 1): 1}, 1)])
     want = kernel._packed_div_exact(fold_sum(products), g)
     assert want == (q if divisible else None)
+    divisor = [] if d is None else [(d, 1)]
+    divisor += [(linear_terms(coords), b) for coords, b in pairs]
     for degree in (2, None):
-        assert kernel.poly_sum_div(products, (d, pairs), degree) == want
+        assert kernel.poly_sum_div(products, divisor, degree) == want
 
 
 def test_factored_divisor_hands_over_to_packed_path():
@@ -593,13 +595,36 @@ def test_factored_divisor_hands_over_to_packed_path():
     for K, calls in ((50, 1), (150, 2), (200, 2)):
         p, g, q = telescoping_division(K, 4)
         packed = kernel._packed_div_exact
+        divisor = [(linear_terms((0, 1, 0, -1)), 1)]
         with mock.patch.object(kernel, "_packed_div_exact", wraps=packed) as spy, \
-                mock.patch.object(kernel, "_expand", wraps=kernel._expand) as expand:
-            got = kernel.poly_sum_div([[(p, 1)]], (None, [((0, 1, 0, -1), 1)]), sum(next(iter(q))))
+                mock.patch.object(kernel, "poly_product", wraps=kernel.poly_product) as expand:
+            got = kernel.poly_sum_div([[(p, 1)]], divisor, sum(next(iter(q))))
         assert got == q
         assert spy.call_count == calls == expand.call_count + 1
         if calls == 2:
             assert spy.call_args_list[1].args == (p, g)
+
+
+def test_factored_divisor_certificate_bounds_every_factor():
+    # p = w * (x - z) * q for q three times that of telescoping_division(100,
+    # 4): p's coefficients are +3 or -3 and the divisor's +1 or -1, so the
+    # slots are one byte, and q's coefficients, multiples of 3 up to 300,
+    # decode to a wrong candidate none of whose slots reads -128.  So the
+    # candidate's bound times the monomial w alone fits a slot, while its
+    # bound times both factors does not: a certificate that took its bound
+    # over one factor only would return that candidate.  In either order
+    # the candidate is refused, and the sum is decoded and divided again
+    # on the packed path.
+    p, g, q = telescoping_division(100, 4)
+    q = {e: 3 * c for e, c in q.items()}
+    w = {(1, 0, 0, 0): 1}
+    wp = {e: 3 * c for e, c in tuple_product(w, p).items()}
+    assert set(wp.values()) == {3, -3} and max(q.values()) == 300
+    for divisor in ([(g, 1), (w, 1)], [(w, 1), (g, 1)]):
+        packed = kernel._packed_div_exact
+        with mock.patch.object(kernel, "_packed_div_exact", wraps=packed) as spy:
+            assert kernel._kron([[(wp, 1)]], divisor, sum(next(iter(q)))) == q
+        assert spy.call_count == 2
 
 
 @pytest.mark.parametrize("nb", range(1, 18))
@@ -621,10 +646,10 @@ def test_codec_round_trips_at_every_slot_width(nb):
         assert kernel._ungroup(groups, nb, stride, 4) == p
         if n == 3:
             assert groups == {(): sum(c << (8 * nb * (e[0] * stride + e[1])) for e, c in p.items())}
-        assert kernel._kron([[(p, 1)]], None, 4) == p
+        assert kernel._kron([[(p, 1)]], [], 4) == p
         # A sum of two products is sized by the sum of their bounds: 2p
         # needs one byte more than p.
-        assert kernel._kron([[(p, 1)], [(p, 1)]], None, 4) == {e: 2 * c for e, c in p.items()}
+        assert kernel._kron([[(p, 1)], [(p, 1)]], [], 4) == {e: 2 * c for e, c in p.items()}
 
 
 @given(a=poly_dicts(), b=poly_dicts(), c=poly_dicts())
@@ -1491,7 +1516,7 @@ def test_one_bound_too_many_takes_the_screening_route(refused, monkeypatch):
         q = div(a, b)
         return [1] if q is None else q
 
-    def recorded_sum_div(products, g=None, degree=kernel._ASK):
+    def recorded_sum_div(products, g=(), degree=kernel._ASK):
         q = poly_sum_div(products, g, degree)
         if degree is not kernel._ASK and degree is not None and q is None:
             refusals.append(g)
@@ -1597,6 +1622,62 @@ def test_encoded_steps_keep_the_divisor_factored(monkeypatch):
     for step in encoded:
         assert "poly_mul" not in step
         assert step["poly_form_product"] == step["products"]
+
+
+def window_memo(kind, rank):
+    """The memo parts of a fresh calculator after every fundamental label
+    of the window, from the top of each vertex down."""
+    frame = build_frame(kind, rank)
+    calc = TorusMorphism(frame)
+    for i in frame.datum.vertices():
+        for r in range(1, frame.n_letters[i] + 1):
+            calc.kr_value(i, frame.xi[i] - 2 * (r - 1), 1)
+    return {key: parts(value) for key, value in calc._kr_cache.items()}
+
+
+def test_routed_steps_after_a_divisor_cancel_keep_their_parts(monkeypatch):
+    # With the gate's size thresholds at 0 every dense homogeneous step is
+    # encoded, so that the bounds-first route also runs on steps whose
+    # divisor has cancelled before the gate: against a shared residual, or
+    # against a residual of one product after the others' residual
+    # products were divided by it (a quotient no value holds, sliced from
+    # its terms).  On the D8 window 157 steps take the route, 26 of them
+    # after such a holder cancel and 29 after a shared one; every value
+    # keeps its parts.
+    want = window_memo("D", 8)
+    steps = []
+    sum_of_products, quotient_slices = RootContext.sum_of_products, RootContext._quotient_slices
+    div_exact, build = kernel.poly_div_exact, RootContext.build
+
+    def recorded_sum(self, products, divisor=None):
+        steps.append({"divisions": 0})
+        return sum_of_products(self, products, divisor)
+
+    def recorded_div_exact(p, g):
+        if steps:
+            steps[-1]["divisions"] += 1
+        return div_exact(p, g)
+
+    def recorded_slices(self, products, divisor, parts, summands, sden):
+        if divisor is not None and divisor.num != self._one and sden == self._one:
+            steps[-1]["cancel"] = "holder" if steps[-1]["divisions"] else "shared"
+        return quotient_slices(self, products, divisor, parts, summands, sden)
+
+    def recorded_build(self, *args):
+        if len(args) > 5 and args[5] is not None:
+            steps[-1]["routed"] = True
+        return build(self, *args)
+
+    for name in ("_DIV_MIN_TERMS", "_MUL_MIN_PAIRS", "_MUL_MIN_TERMS"):
+        monkeypatch.setattr(kernel, name, 0)
+    monkeypatch.setattr(RootContext, "sum_of_products", recorded_sum)
+    monkeypatch.setattr(kernel, "poly_div_exact", recorded_div_exact)
+    monkeypatch.setattr(RootContext, "_quotient_slices", recorded_slices)
+    monkeypatch.setattr(RootContext, "build", recorded_build)
+    assert window_memo("D", 8) == want
+    routed = [step.get("cancel") for step in steps if step.get("routed")]
+    assert len(routed) == 157
+    assert routed.count("holder") == 26 and routed.count("shared") == 29
 
 
 # -- exchange steps ----------------------------------------------------------
